@@ -49,7 +49,6 @@ from .pathdecomp import (
     construct_path_decomposition,
     extent_of,
     format_decomposition,
-    induced_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
     to_nice,
@@ -57,9 +56,9 @@ from .pathdecomp import (
 )
 from .downsets import (
     count_downsets,
-    count_downsets_within,
-    descendants,
+    downset_marginals,
     sample_downset,
+    sample_downsets,
     uniform_int,
 )
 from .realize import (
@@ -79,6 +78,7 @@ from .fairness import (
     FairnessScores,
     balanced_bruteforce,
     count_stable_matchings,
+    median_and_count,
     median_stable_matching,
     sample_stable_matching,
     sample_stable_matchings,

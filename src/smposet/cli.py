@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import CapExceededError, ParseError, ValidationError
@@ -38,7 +37,7 @@ from .rotations import all_stable_matchings_bruteforce, rotation_digraph
 from .fairness import (
     balanced_bruteforce,
     count_stable_matchings,
-    median_stable_matching,
+    median_and_count,
     sample_stable_matchings,
     sex_equal_bruteforce,
 )
@@ -148,7 +147,10 @@ def _cmd_realize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = parse_instance(_read(args.instance))
-    dg = rotation_digraph(inst)
+    if inst.is_complete:
+        dg, x = construct_path_decomposition(inst)
+    else:
+        dg = rotation_digraph(inst)
     print(f"men {inst.n_men} women {inst.n_women} complete {'yes' if inst.is_complete else 'no'}")
     print(f"rotations {len(dg.rotations)}")
     for rho in dg.rotations:
@@ -167,7 +169,6 @@ def _cmd_analyze(args) -> int:
             print(f"minrank {inst.men_labels[m]}: {profile.orank_men[m]}")
         for w in range(inst.n_women):
             print(f"minrank {inst.women_labels[w]}: {profile.orank_women[w]}")
-        _dg, x = construct_path_decomposition(inst)
         print(f"decomposition width {x.width} bags {len(x.bags)}")
     else:
         print("range n/a (incomplete instance)")
@@ -190,13 +191,11 @@ def _cmd_count(args) -> int:
         raise ValidationError("count needs --instance or --dag")
     paths = args.instance
     texts = [_read(p) for p in paths]  # every path readable before any output
-    count_one = lambda text: count_stable_matchings(parse_instance(text))
     if len(paths) == 1:
-        print(count_one(texts[0]))
+        print(count_stable_matchings(parse_instance(texts[0])))
         return 0
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for path, value in zip(paths, pool.map(count_one, texts)):
-            print(f"{path}: {value}")
+    for path, text in zip(paths, texts):
+        print(f"{path}: {count_stable_matchings(parse_instance(text))}")
     return 0
 
 
@@ -212,9 +211,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_median(args) -> int:
     inst = parse_instance(_read(args.instance))
-    mu = median_stable_matching(inst, upper=args.upper)
+    mu, total = median_and_count(inst, upper=args.upper)
     _print_matching(inst, mu, sys.stdout)
-    print(f"N {count_stable_matchings(inst)}")
+    print(f"N {total}")
     return 0
 
 
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", nargs="+")
     p.add_argument("--dag")
     p.add_argument("--decomp")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("sample", help="uniform stable matchings")

@@ -1,48 +1,44 @@
-"""Counting downsets of a DAG over a nice path decomposition, and exact
-uniform sampling of downsets via self-reducibility.
+"""Counting, exactly uniform sampling and per-vertex marginals of the
+downsets of a DAG, all from one table DP (`_dp`) over a nice path
+decomposition. Counting keeps no tables; sampling and marginals keep the
+table before each forget step and walk the steps backward over them.
 
 Counts are plain Python ints, so they are exact at any size.
 """
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from .errors import CapExceededError, ValidationError
-from .pathdecomp import PathDecomposition, induced_decomposition, validate_decomposition
+from .pathdecomp import PathDecomposition, validate_decomposition
 from .posets import Dag
 
 HARD_WIDTH_CAP = 30
 
 
-def _steps(bags: tuple[frozenset[int], ...]):
-    """Yield (vertex, inserted?) per bag of a structurally nice sequence."""
+def _dp(
+    bags: tuple[frozenset[int], ...],
+    in_adj: dict[int, tuple[int, ...]],
+    out_adj: dict[int, tuple[int, ...]],
+    max_width: int,
+):
+    """The table update loop. Yields (v, vbit, inserted, table) per nice
+    step: the vertex, its slot bit, whether it was inserted, and the new
+    table. A table maps a bitmask over bag slots to the number of downsets of
+    the seen subgraph that intersect the bag exactly there.
+    """
+    table: dict[int, int] = {0: 1}
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    seen: set[int] = set()
     prev: frozenset[int] = frozenset()
     for bag in bags:
         delta = bag ^ prev
         if len(delta) != 1:
             raise ValidationError("decomposition is not nice")
         v = next(iter(delta))
-        yield v, bag > prev
+        inserted = bag > prev
         prev = bag
-    if prev:
-        raise ValidationError("nice decomposition must end with an empty bag")
-
-
-def _count_over_bags(
-    bags: tuple[frozenset[int], ...],
-    in_adj: dict[int, tuple[int, ...]],
-    out_adj: dict[int, tuple[int, ...]],
-    max_width: int,
-) -> int:
-    """The table update loop. C maps a bitmask over bag slots to the number of
-    downsets of the seen subgraph that intersect the bag exactly there.
-    """
-    table: dict[int, int] = {0: 1}
-    slot: dict[int, int] = {}
-    free: list[int] = []
-    seen: set[int] = set()
-    for v, inserted in _steps(bags):
         if inserted:
             if len(slot) >= max_width + 1:
                 raise CapExceededError(
@@ -74,7 +70,6 @@ def _count_over_bags(
                     new[a] = c
                 if a & umask == umask:
                     new[a | vbit] = new.get(a | vbit, 0) + c
-            table = new
         else:
             s = slot.pop(v)
             free.append(s)
@@ -83,34 +78,50 @@ def _count_over_bags(
             for a, c in table.items():
                 key = a & ~vbit
                 new[key] = new.get(key, 0) + c
-            table = new
+        table = new
+        yield v, vbit, inserted, table
+    if prev:
+        raise ValidationError("nice decomposition must end with an empty bag")
+
+
+def _count_over_bags(
+    bags: tuple[frozenset[int], ...],
+    in_adj: dict[int, tuple[int, ...]],
+    out_adj: dict[int, tuple[int, ...]],
+    max_width: int,
+) -> int:
+    table = {0: 1}
+    for _v, _vbit, _inserted, table in _dp(bags, in_adj, out_adj, max_width):
+        pass
     return sum(table.values())
+
+
+def _check(g: Dag, x: PathDecomposition) -> None:
+    if not x.is_nice:
+        raise ValidationError("decomposition is not nice")
+    if not validate_decomposition(g, x):
+        raise ValidationError("decomposition is not valid for this graph")
 
 
 def count_downsets(g: Dag, x: PathDecomposition, max_width: int = HARD_WIDTH_CAP) -> int:
     """Number of downsets of g, computed over a valid nice path decomposition
     in time O(2^w w n) for width w.
     """
-    if not x.is_nice:
-        raise ValidationError("decomposition is not nice")
-    if not validate_decomposition(g, x):
-        raise ValidationError("decomposition is not valid for this graph")
+    _check(g, x)
     return _count_over_bags(x.bags, g.in_adj, g.out_adj, max_width)
 
 
-def descendants(g: Dag, v: int) -> set[int]:
-    """v together with everything reachable from it."""
-    if not 1 <= v <= g.p:
-        raise ValidationError(f"vertex {v} out of range")
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.out_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _forward(g: Dag, x: PathDecomposition, max_width: int):
+    """The steps of the forward pass, each with the table before it if it is
+    a forget step, and the downset count.
+    """
+    _check(g, x)
+    steps = []
+    before = {0: 1}
+    for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
+        steps.append((v, vbit, inserted, None if inserted else before))
+        before = table
+    return steps, sum(before.values())
 
 
 def uniform_int(rng: random.Random, n: int) -> int:
@@ -126,67 +137,66 @@ def uniform_int(rng: random.Random, n: int) -> int:
             return x + 1
 
 
+def sample_downsets(
+    g: Dag,
+    x: PathDecomposition,
+    rng: random.Random,
+    draws: int,
+    max_width: int = HARD_WIDTH_CAP,
+) -> list[frozenset[int]]:
+    """Downsets of g drawn independently and exactly uniformly. Each draw
+    walks the steps backward from the empty final bag; at a forget step the
+    vertex is kept with probability (stored count of the state with its bit
+    set) / (sum of the stored counts with and without it), by one
+    `uniform_int`.
+    """
+    if draws < 1:
+        raise ValidationError(f"draws must be positive, got {draws}")
+    steps, _total = _forward(g, x, max_width)
+    out = []
+    for _ in range(draws):
+        a = 0
+        chosen = []
+        for v, vbit, inserted, before in reversed(steps):
+            if inserted:
+                a &= ~vbit
+                continue
+            with_v = before.get(a | vbit, 0)
+            if uniform_int(rng, with_v + before.get(a, 0)) <= with_v:
+                a |= vbit
+                chosen.append(v)
+        out.append(frozenset(chosen))
+    return out
+
+
 def sample_downset(
     g: Dag,
     x: PathDecomposition,
     rng: random.Random,
     max_width: int = HARD_WIDTH_CAP,
 ) -> frozenset[int]:
-    """One downset of g drawn exactly uniformly among all downsets.
+    """One downset of g drawn exactly uniformly among all downsets."""
+    return sample_downsets(g, x, rng, 1, max_width)[0]
 
-    Walks a topological order, keeping vertex v with probability proportional
-    to the number of downsets that contain it, and pruning v's descendants
-    otherwise. Each downset count is delegated to the pathwidth DP on the
-    decomposition induced by the surviving vertices.
+
+def downset_marginals(g: Dag, x: PathDecomposition) -> tuple[int, dict[int, int]]:
+    """The number of downsets of g, and for each vertex the number of them
+    that contain it. The backward pass counts the completions of each state
+    the forward pass reached; such a state has one predecessor at an insert
+    step, so no edge checks are needed.
     """
-    if not x.is_nice:
-        raise ValidationError("decomposition is not nice")
-    if not validate_decomposition(g, x):
-        raise ValidationError("decomposition is not valid for this graph")
-    alive = set(g.vertices())
-    chosen: set[int] = set()
-
-    def down(keep: set[int]) -> int:
-        bags = induced_decomposition(x, keep).bags
-        return _count_over_bags(bags, g.in_adj, g.out_adj, max_width)
-
-    for v in g.topological_order():
-        if v not in alive:
-            continue
-        with_v = alive - {v}
-        without_v = alive - _descendants_within(g, v, alive)
-        a1 = down(with_v)
-        a0 = down(without_v)
-        r = uniform_int(rng, a1 + a0)
-        if r <= a1:
-            chosen.add(v)
-            alive = with_v
+    steps, total = _forward(g, x, HARD_WIDTH_CAP)
+    after = {0: 1}
+    marginals = {}
+    for v, vbit, inserted, before in reversed(steps):
+        if inserted:
+            prior: dict[int, int] = {}
+            for b, c in after.items():
+                a = b & ~vbit
+                prior[a] = prior.get(a, 0) + c
         else:
-            alive = without_v
-    return frozenset(chosen)
-
-
-def _descendants_within(g: Dag, v: int, alive: set[int]) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.out_adj[u]:
-            if w in alive and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def count_downsets_within(
-    g: Dag,
-    x: PathDecomposition,
-    keep: Iterable[int],
-    max_width: int = HARD_WIDTH_CAP,
-) -> int:
-    """Downset count of the subgraph induced by keep, reusing a decomposition
-    of the full graph. Callers must pass a decomposition valid for g.
-    """
-    ks = set(keep)
-    bags = induced_decomposition(x, ks).bags
-    return _count_over_bags(bags, g.in_adj, g.out_adj, max_width)
+            # only stored states: completing every bag state would cost 2^w
+            prior = {a: after[a & ~vbit] for a in before if (a & ~vbit) in after}
+            marginals[v] = sum(before[a] * c for a, c in prior.items() if a & vbit)
+        after = prior
+    return total, marginals

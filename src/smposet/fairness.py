@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, ValidationError
-from .downsets import count_downsets, count_downsets_within, sample_downset
+from .downsets import count_downsets, downset_marginals, sample_downsets
 from .instance import Instance, Matching
 from .pathdecomp import construct_path_decomposition
-from .posets import enumerate_downsets_bruteforce, reachable_from
+from .posets import enumerate_downsets_bruteforce
 from .rotations import matching_from_downset, rotation_digraph
 
 
@@ -54,43 +54,38 @@ def count_stable_matchings(inst: Instance) -> int:
 def sample_stable_matchings(
     inst: Instance, rng: random.Random, draws: int
 ) -> list[Matching]:
-    """Exactly uniform draws from the stable matchings of inst. The digraph
-    and decomposition are computed once and reused across draws.
+    """Exactly uniform draws from the stable matchings of inst. The digraph,
+    decomposition and DP tables are computed once and reused across draws.
     """
     dg, x = construct_path_decomposition(inst)
-    d = dg.dag()
-    out = []
-    for _ in range(draws):
-        zs = sample_downset(d, x, rng)
-        out.append(matching_from_downset(inst, dg, {v - 1 for v in zs}))
-    return out
+    return [
+        matching_from_downset(inst, dg, {v - 1 for v in zs})
+        for zs in sample_downsets(dg.dag(), x, rng, draws)
+    ]
 
 
 def sample_stable_matching(inst: Instance, rng: random.Random) -> Matching:
     return sample_stable_matchings(inst, rng, 1)[0]
 
 
-def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
-    """The median stable matching: keep every rotation contained in at least
-    half of all downsets. For an even count the lower median is returned;
-    upper=True keeps the borderline rotations as well.
-    """
+def median_and_count(inst: Instance, upper: bool = False) -> tuple[Matching, int]:
+    """median_stable_matching and the number of stable matchings."""
     dg, x = construct_path_decomposition(inst)
-    d = dg.dag()
-    total = count_downsets(d, x)
+    total, marginals = downset_marginals(dg.dag(), x)
     if total % 2 == 1:
         threshold = (total + 1) // 2
     else:
         threshold = total // 2 if upper else total // 2 + 1
-    keep = set()
-    verts = set(d.vertices())
-    reach = {u: reachable_from(d, u) for u in verts}
-    for rho in dg.rotations:
-        anc = {u for u in verts if rho.id + 1 in reach[u]}
-        n_rho = count_downsets_within(d, x, verts - anc)
-        if n_rho >= threshold:
-            keep.add(rho.id)
-    return matching_from_downset(inst, dg, keep)
+    keep = {rho.id for rho in dg.rotations if marginals[rho.id + 1] >= threshold}
+    return matching_from_downset(inst, dg, keep), total
+
+
+def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
+    """The median stable matching: keep every rotation contained in at least
+    half of all downsets (Teo & Sethuraman 1998). For an even count the lower
+    median is returned; upper=True keeps the borderline rotations as well.
+    """
+    return median_and_count(inst, upper)[0]
 
 
 def _optimize(inst: Instance, key_name: str, max_matchings: int):

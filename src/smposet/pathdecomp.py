@@ -1,6 +1,6 @@
-"""Path decompositions: validation, nice form, induced decompositions, the
-extent-based decomposition of rotation digraphs, and an exact pathwidth
-solver for tiny graphs.
+"""Path decompositions: validation, nice form, the extent-based
+decomposition of rotation digraphs, and an exact pathwidth solver for tiny
+graphs.
 """
 from __future__ import annotations
 
@@ -102,14 +102,6 @@ def to_nice(g: Dag, x: PathDecomposition) -> PathDecomposition:
     nice = PathDecomposition(_nice_bags(x.bags))
     assert nice.is_nice and len(nice) == 2 * len(x.vertices())
     return nice
-
-
-def induced_decomposition(x: PathDecomposition, keep: Iterable[int]) -> PathDecomposition:
-    """Intersect every bag with keep and re-nice. Valid for the induced
-    subgraph; the width never increases.
-    """
-    ks = frozenset(keep)
-    return PathDecomposition(_nice_bags(bag & ks for bag in x.bags))
 
 
 @dataclass(frozen=True)

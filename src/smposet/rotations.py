@@ -50,17 +50,11 @@ class Rotation:
 @dataclass(frozen=True)
 class RotationDigraph:
     """All rotations of an instance plus rule-tagged edges whose transitive
-    closure is the rotation poset.
-
-    move_down maps (man, woman) to (rotation id, exact): the unique rotation
-    that moves the man to the woman (exact=True) or strictly below her
-    (exact=False). move_up is the mirror on the women's side.
+    closure is the rotation poset. Rotation ids follow elimination order.
     """
 
     rotations: tuple[Rotation, ...]
     edges: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
-    move_down: dict[tuple[int, int], tuple[int, bool]] = field(default_factory=dict)
-    move_up: dict[tuple[int, int], tuple[int, bool]] = field(default_factory=dict)
 
     def dag(self) -> Dag:
         """The digraph as a Dag; rotation i becomes vertex i + 1."""
@@ -158,6 +152,8 @@ def rotation_digraph(inst: Instance) -> RotationDigraph:
     if blocking_pairs(inst, mu):
         raise ValidationError("instance has no stable matching structure")  # unreachable
     rotations: list[Rotation] = []
+    # (man, woman) -> (id, exact): the rotation moving him to her (exact) or
+    # strictly below her; move_up is the women's mirror
     move_down: dict[tuple[int, int], tuple[int, bool]] = {}
     move_up: dict[tuple[int, int], tuple[int, bool]] = {}
     while True:
@@ -196,7 +192,7 @@ def rotation_digraph(inst: Instance) -> RotationDigraph:
         if hit is not None and not hit[1] and hit[0] != rid:
             edges.setdefault((hit[0], rid), set()).add(RULE_2)
     frozen = {e: frozenset(rules) for e, rules in edges.items()}
-    return RotationDigraph(tuple(rotations), frozen, move_down, move_up)
+    return RotationDigraph(tuple(rotations), frozen)
 
 
 def matching_from_downset(inst: Instance, dg: RotationDigraph, zs: Iterable[int]) -> Matching:

@@ -38,7 +38,7 @@ def test_count_instance(workdir, capsys):
 
 def test_count_multiple_instances_with_jobs(workdir, capsys):
     a = workdir / "example_rotation_poset.sm"
-    code, out, _ = run(capsys, "count", "--instance", a, a, "--jobs", "2")
+    code, out, _ = run(capsys, "count", "--instance", a, a)
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 and all(line.endswith(": 4") for line in lines)
@@ -187,6 +187,18 @@ def test_sample_deterministic_and_seeded(workdir, capsys):
     assert len(blocks) == 5
     for block in blocks:
         assert len(block.splitlines()) == 4
+
+
+def test_sample_rejects_nonpositive_draws(workdir, capsys):
+    for draws in ("0", "-3"):
+        code, out, err = run(
+            capsys,
+            "sample", "--instance", workdir / "example_rotation_poset.sm",
+            "--seed", "1", "--draws", draws,
+        )
+        assert code == 2
+        assert out == ""
+        assert "draws" in err
 
 
 def test_sample_requires_seed(workdir, capsys):

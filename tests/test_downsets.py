@@ -9,15 +9,16 @@ from smposet import (
     PathDecomposition,
     ValidationError,
     count_downsets,
-    count_downsets_within,
-    descendants,
+    downset_marginals,
     enumerate_downsets_bruteforce,
     is_downset,
     pathwidth_exact_tiny,
     sample_downset,
+    sample_downsets,
     to_nice,
     uniform_int,
 )
+from smposet.posets import reachable_from
 
 from conftest import random_dag
 
@@ -72,33 +73,18 @@ def test_count_width_cap():
 
 def test_descendants_chain():
     g = Dag(3, [(1, 2), (2, 3)])
-    assert descendants(g, 1) == {1, 2, 3}
-    assert descendants(g, 3) == {3}
+    assert reachable_from(g, 1) == {1, 2, 3}
+    assert reachable_from(g, 3) == {3}
 
 
-def test_descendants_match_reachability():
-    from smposet.posets import reachable_from
-
-    rng = random.Random(113)
-    for _ in range(20):
-        g = random_dag(rng, 8)
-        for v in g.vertices():
-            assert descendants(g, v) == reachable_from(g, v)
-
-
-def test_descendants_identity_splits_count():
-    # down(G) = down(G minus v) + down(G minus desc(v)) for any source v
+def test_marginals_match_bruteforce():
     rng = random.Random(127)
-    for _ in range(20):
-        g = random_dag(rng, rng.randint(1, 9))
-        total = len(enumerate_downsets_bruteforce(g))
-        v = g.topological_order()[0]
-        keep_with = set(g.vertices()) - {v}
-        keep_without = set(g.vertices()) - descendants(g, v)
-        x = nice_for(g)
-        a1 = count_downsets_within(g, x, keep_with)
-        a0 = count_downsets_within(g, x, keep_without)
-        assert a1 + a0 == total
+    for _ in range(60):
+        g = random_dag(rng, rng.randint(0, 10), rng.choice([0.2, 0.4, 0.6]))
+        downsets = enumerate_downsets_bruteforce(g)
+        total, marginals = downset_marginals(g, nice_for(g))
+        assert total == len(downsets)
+        assert marginals == {v: sum(v in z for z in downsets) for v in g.vertices()}
 
 
 def test_uniform_int_is_uniform():
@@ -148,6 +134,32 @@ def test_sample_frequencies_near_uniform():
         assert abs(v - draws / 4) <= 4 * sigma
     tv = sum(abs(v / draws - 0.25) for v in counts.values()) / 2
     assert tv < 0.02
+
+
+def test_sample_downsets_near_uniform_with_reused_slots():
+    # diamond plus a tail; 4 and 5 are inserted into the slots freed by 1 and 3
+    g = Dag(5, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+    x = to_nice(g, PathDecomposition.of([{1, 2, 3}, {2, 3, 4}, {4, 5}]))
+    expected = {tuple(sorted(z)) for z in enumerate_downsets_bruteforce(g)}
+    draws = 42000
+    samples = sample_downsets(g, x, random.Random(20240817), draws)
+    counts = Counter(tuple(sorted(z)) for z in samples)
+    assert set(counts) == expected and len(expected) == 7
+    p = 1 / 7
+    sigma = (draws * p * (1 - p)) ** 0.5
+    for v in counts.values():
+        assert abs(v - draws * p) <= 4 * sigma
+    tv = sum(abs(v / draws - p) for v in counts.values()) / 2
+    assert tv < 0.02
+
+
+def test_sample_downsets_same_seed_same_draws():
+    g = Dag(5, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+    x = nice_for(g)
+    first = sample_downsets(g, x, random.Random(5), 50)
+    assert sample_downsets(g, x, random.Random(5), 50) == first
+    rng = random.Random(5)
+    assert [sample_downset(g, x, rng) for _ in range(50)] == first
 
 
 def test_table_consistency_at_every_prefix():

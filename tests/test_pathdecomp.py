@@ -12,7 +12,6 @@ from smposet import (
     construct_path_decomposition,
     extent_of,
     format_decomposition,
-    induced_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
     rotation_digraph,
@@ -90,28 +89,6 @@ def test_to_nice_random_preserves_width_and_validity():
 def test_to_nice_rejects_invalid():
     with pytest.raises(ValidationError):
         to_nice(Dag(2, [(1, 2)]), PathDecomposition.of([{1}, {2}]))
-
-
-def test_induced_decomposition_full_and_empty():
-    nice = to_nice(DIAMOND, DIAMOND_X)
-    assert induced_decomposition(nice, {1, 2, 3, 4}) == nice
-    assert induced_decomposition(nice, set()) == PathDecomposition(())
-
-
-def test_induced_decomposition_random():
-    rng = random.Random(89)
-    for _ in range(20):
-        g = random_dag(rng, 8)
-        _w, x = pathwidth_exact_tiny(g)
-        keep = {v for v in g.vertices() if rng.random() < 0.6}
-        sub = Dag(g.p, {(u, v) for u, v in g.edges if u in keep and v in keep})
-        ind = induced_decomposition(to_nice(g, x), keep)
-        assert ind.is_nice
-        bags_union = set().union(*ind.bags) if ind.bags else set()
-        assert bags_union == keep
-        for u, v in sub.edges:
-            if u in keep and v in keep:
-                assert any(u in b and v in b for b in ind.bags)
 
 
 def test_extent_degenerate_k1():
