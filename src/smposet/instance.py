@@ -84,8 +84,8 @@ class Instance:
         men_labels: Optional[Sequence[str]] = None,
         women_labels: Optional[Sequence[str]] = None,
     ):
-        self.men_prefs = tuple(tuple(int(w) for w in lst) for lst in men_prefs)
-        self.women_prefs = tuple(tuple(int(m) for m in lst) for lst in women_prefs)
+        self.men_prefs = tuple(tuple(map(int, lst)) for lst in men_prefs)
+        self.women_prefs = tuple(tuple(map(int, lst)) for lst in women_prefs)
         self.n_men = len(self.men_prefs)
         self.n_women = len(self.women_prefs)
         self.men_labels = (
@@ -111,6 +111,7 @@ class Instance:
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate label on side {side!r}")
         men_sets = []
+        listed_by = [0] * self.n_women  # how many men list each woman
         for m, lst in enumerate(self.men_prefs):
             s = set(lst)
             if len(s) != len(lst):
@@ -118,6 +119,7 @@ class Instance:
             for w in lst:
                 if not 0 <= w < self.n_women:
                     raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
+                listed_by[w] += 1
             men_sets.append(s)
         for w, lst in enumerate(self.women_prefs):
             s = set(lst)
@@ -131,6 +133,9 @@ class Instance:
                         f"inconsistent lists: {self.women_labels[w]} ranks "
                         f"{self.men_labels[m]} but not vice versa"
                     )
+            # every man she lists lists her, so equal counts mean the converse
+            if listed_by[w] == len(lst):
+                continue
             for m in range(self.n_men):
                 if w in men_sets[m] and m not in s:
                     raise ValidationError(
@@ -237,12 +242,10 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("duplicate agent name")
 
     def resolve(tokens: list[str], table: dict[str, int], owner: str) -> list[int]:
-        out = []
-        for tok in tokens:
-            if tok not in table:
-                raise ParseError(f"{owner} ranks unknown agent {tok!r}")
-            out.append(table[tok])
-        return out
+        try:
+            return [table[tok] for tok in tokens]
+        except KeyError as exc:
+            raise ParseError(f"{owner} ranks unknown agent {exc.args[0]!r}") from None
 
     men_prefs = [resolve(toks, woman_idx, name) for name, toks in men_lines]
     women_prefs = [resolve(toks, man_idx, name) for name, toks in women_lines]

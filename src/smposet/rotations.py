@@ -4,7 +4,8 @@ between downsets of the digraph and stable matchings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import CapExceededError, ValidationError
@@ -51,10 +52,12 @@ class Rotation:
 class RotationDigraph:
     """All rotations of an instance plus rule-tagged edges whose transitive
     closure is the rotation poset. Rotation ids follow elimination order.
+    man_optimal is the matching every downset's rebuild starts from.
     """
 
     rotations: tuple[Rotation, ...]
-    edges: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
+    edges: dict[tuple[int, int], frozenset[int]]
+    man_optimal: Matching
 
     def dag(self) -> Dag:
         """The digraph as a Dag; rotation i becomes vertex i + 1."""
@@ -79,7 +82,9 @@ class RotationDigraph:
 
 def _successor(inst: Instance, mu: Matching, m: int) -> Optional[tuple[int, int]]:
     """For matched man m: the first woman after his partner who prefers him to
-    her own partner, together with that partner. None when no such woman.
+    her own partner, together with that partner. None when there is no such
+    woman or she is unmatched: she would take him over staying single, so he
+    can never move past her.
     """
     w = mu.woman_of(m)
     if w is None:
@@ -87,7 +92,9 @@ def _successor(inst: Instance, mu: Matching, m: int) -> Optional[tuple[int, int]
     prefs = inst.men_prefs[m]
     for w2 in prefs[inst.men_rank[m][w] :]:
         p2 = mu.man_of(w2)
-        if p2 is not None and inst.women_rank[w2][m] < inst.women_rank[w2][p2]:
+        if p2 is None:
+            return None
+        if inst.women_rank[w2][m] < inst.women_rank[w2][p2]:
             return w2, p2
     return None
 
@@ -146,58 +153,141 @@ def eliminate(inst: Instance, mu: Matching, rho: Rotation) -> Matching:
 def rotation_digraph(inst: Instance) -> RotationDigraph:
     """Enumerate all rotations by repeated elimination from the man-optimal
     matching and emit Rule 1 / Rule 2 edges. Rotation ids follow elimination
-    order, which is a linear extension of the rotation poset.
+    order, which is a linear extension of the rotation poset: each step
+    eliminates the exposed rotation with the least minimum man.
+
+    Each man keeps one pointer into his list that only moves down (Gusfield
+    1987): women only improve, so a woman who rejects him once rejects him
+    for good. After an elimination only the rotation's men and the men whose
+    successor is one of its women are re-advanced, and new exposed rotations
+    are searched from those men alone. For L list entries and r rotations,
+    finding all rotations costs O(L + n r).
+
+    Both edge rules are applied as each rotation is eliminated, from the
+    history of each woman's partners: one lookup per pair for Rule 1 and one
+    binary search per woman a man passes over for Rule 2, O(L log n) in all.
+    Edges are listed Rule 1 first, each rule in elimination order.
     """
-    mu = gale_shapley(inst, MAN)
-    if blocking_pairs(inst, mu):
+    mu0 = gale_shapley(inst, MAN)
+    if blocking_pairs(inst, mu0):
         raise ValidationError("instance has no stable matching structure")  # unreachable
+    men_prefs, men_rank, women_rank = inst.men_prefs, inst.men_rank, inst.women_rank
+    n_men = inst.n_men
+    woman_of = [mu0.woman_of(m) for m in range(n_men)]
+    man_of = [mu0.man_of(w) for w in range(inst.n_women)]
+    # pos[m]: index in m's list of the first woman below his partner who is
+    # single or prefers him to her partner; his successor unless she is
+    # single. len(list) when there is none
+    pos = [len(men_prefs[m]) if w is None else men_rank[m][w] for m, w in enumerate(woman_of)]
+    succ: list[Optional[int]] = [None] * n_men
+    waiting: list[set[int]] = [set() for _ in range(inst.n_women)]  # men whose successor is w
+    # exposed rotations keyed by their least man; in_exposed marks their men
+    exposed: dict[int, tuple[tuple[int, int], ...]] = {}
+    in_exposed = [False] * n_men
+
+    def advance(m: int) -> None:
+        prefs = men_prefs[m]
+        new = None
+        for i in range(pos[m], len(prefs)):
+            w = prefs[i]
+            p = man_of[w]
+            if p is None:  # she stays single in every stable matching
+                break
+            if women_rank[w][m] < women_rank[w][p]:
+                new = w
+                break
+        else:
+            i = len(prefs)
+        pos[m] = i
+        old = succ[m]
+        if new != old:
+            if old is not None:
+                waiting[old].discard(m)
+            if new is not None:
+                waiting[new].add(m)
+            succ[m] = new
+
+    def search(starts) -> None:
+        """Record every new cycle of m -> man_of[succ[m]] reachable from starts."""
+        seen: dict[int, int] = {}  # man -> the start whose walk reached him
+        for start in starts:
+            m = start
+            path = []
+            while m not in seen and not in_exposed[m]:
+                seen[m] = start
+                path.append(m)
+                w = succ[m]
+                if w is None:
+                    break
+                m = man_of[w]
+            else:
+                if seen.get(m) == start:  # closed a cycle on this walk
+                    cycle = path[path.index(m) :]
+                    least = min(cycle)
+                    k = cycle.index(least)
+                    exposed[least] = tuple((x, woman_of[x]) for x in cycle[k:] + cycle[:k])
+                    for x in cycle:
+                        in_exposed[x] = True
+
+    for m in range(n_men):
+        advance(m)
+    search(range(n_men))
+    # climb[w]: the ranks w gave her partners so far, negated so they ascend;
+    # climbed_by[w][j]: the rotation that gave her the j-th (None: man-optimal)
+    climb = [[] if p is None else [-women_rank[w][p]] for w, p in enumerate(man_of)]
+    climbed_by: list[list[Optional[int]]] = [[None] for _ in man_of]
     rotations: list[Rotation] = []
-    # (man, woman) -> (id, exact): the rotation moving him to her (exact) or
-    # strictly below her; move_up is the women's mirror
-    move_down: dict[tuple[int, int], tuple[int, bool]] = {}
-    move_up: dict[tuple[int, int], tuple[int, bool]] = {}
-    while True:
-        exposed = exposed_rotations(inst, mu, _skip_check=True)
-        if not exposed:
-            break
-        rho = Rotation(len(rotations), exposed[0].pairs)
+    rule_1: list[tuple[int, int]] = []
+    rule_2: list[tuple[int, int]] = []
+    while exposed:
+        rid = len(rotations)
+        rho = Rotation(rid, exposed.pop(min(exposed)))
         rotations.append(rho)
         n = len(rho.pairs)
         for i, (m, w) in enumerate(rho.pairs):
             w_next = rho.pairs[(i + 1) % n][1]
-            m_prev = rho.pairs[(i - 1) % n][0]
-            # the men's side: m moves from w down to w_next
-            lo = inst.men_rank[m][w]
-            hi = inst.men_rank[m][w_next]
-            for w_mid in inst.men_prefs[m][lo : hi - 1]:
-                move_down[(m, w_mid)] = (rho.id, False)
-            move_down[(m, w_next)] = (rho.id, True)
-            # the women's side: w moves from m up to m_prev
-            lo_w = inst.women_rank[w][m_prev]
-            hi_w = inst.women_rank[w][m]
-            for m_mid in inst.women_prefs[w][lo_w : hi_w - 1]:
-                move_up[(w, m_mid)] = (rho.id, False)
-            move_up[(w, m_prev)] = (rho.id, True)
-        mu = eliminate(inst, mu, rho)
+            if woman_of[m] != w or succ[m] != w_next:
+                raise ValidationError("rotation is not exposed in this matching")
+            # Rule 1: the rotation that matched m to w precedes rho
+            if climbed_by[w][-1] is not None:
+                rule_1.append((climbed_by[w][-1], rid))
+            # Rule 2: m passes the women strictly between w and w_next, each
+            # already matched above him; the rotation that moved her from
+            # below m to above him precedes rho. There is none when she started
+            # above him; she was never his partner, as he only moves down
+            for w_mid in men_prefs[m][men_rank[m][w] : men_rank[m][w_next] - 1]:
+                j = bisect_right(climb[w_mid], -women_rank[w_mid][m])
+                if j:
+                    rule_2.append((climbed_by[w_mid][j], rid))
+        for i, (m, w) in enumerate(rho.pairs):
+            w_next = rho.pairs[(i + 1) % n][1]
+            woman_of[m] = w_next
+            man_of[w_next] = m
+            climb[w_next].append(-women_rank[w_next][m])
+            climbed_by[w_next].append(rid)
+            in_exposed[m] = False
+        # the rotation's men wait on its women, so this list holds them too
+        changed = [m for _m, w in rho.pairs for m in waiting[w]]
+        for m in changed:
+            advance(m)
+        search(changed)
     edges: dict[tuple[int, int], set[int]] = {}
-    for rho in rotations:
-        for m, w in rho.pairs:
-            hit = move_down.get((m, w))
-            if hit is not None and hit[1] and hit[0] != rho.id:
-                edges.setdefault((hit[0], rho.id), set()).add(RULE_1)
-    for (m, w), (rid, exact) in move_down.items():
-        if exact:
-            continue
-        hit = move_up.get((w, m))
-        if hit is not None and not hit[1] and hit[0] != rid:
-            edges.setdefault((hit[0], rid), set()).add(RULE_2)
+    for rule, found in ((RULE_1, rule_1), (RULE_2, rule_2)):
+        for e in found:
+            edges.setdefault(e, set()).add(rule)
     frozen = {e: frozenset(rules) for e, rules in edges.items()}
-    return RotationDigraph(tuple(rotations), frozen)
+    return RotationDigraph(tuple(rotations), frozen, mu0)
 
 
 def matching_from_downset(inst: Instance, dg: RotationDigraph, zs: Iterable[int]) -> Matching:
-    """Eliminate the rotations of the downset zs from the man-optimal matching.
-    The result does not depend on the elimination order.
+    """The stable matching reached by eliminating the rotations of the downset
+    zs from the man-optimal matching, in any order.
+
+    The rotations that move one man form a chain, and ids are a linear
+    extension, so each man ends with the woman he moves to under the
+    highest-id rotation of zs that contains him; a man in none keeps his
+    man-optimal partner. Costs O(n + |edges| + sum of |rho| over zs), the
+    edge term being the downset check.
     """
     z = set(zs)
     ids = set(range(len(dg.rotations)))
@@ -208,10 +298,13 @@ def matching_from_downset(inst: Instance, dg: RotationDigraph, zs: Iterable[int]
             raise ValidationError(
                 f"not a downset: rotation {b} requires its predecessor {a}"
             )
-    mu = gale_shapley(inst, MAN)
-    for rid in sorted(z):  # ids are a linear extension of the poset
-        mu = eliminate(inst, mu, dg.rotations[rid])
-    return mu
+    woman_of = dict(dg.man_optimal.pairs)
+    for rid in sorted(z):
+        pairs = dg.rotations[rid].pairs
+        n = len(pairs)
+        for i, (m, _w) in enumerate(pairs):
+            woman_of[m] = pairs[(i + 1) % n][1]
+    return Matching(woman_of.items())
 
 
 def downset_from_matching(inst: Instance, dg: RotationDigraph, mu: Matching) -> frozenset[int]:

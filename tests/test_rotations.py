@@ -12,16 +12,33 @@ from smposet import (
     RULE_2,
     ValidationError,
     all_stable_matchings_bruteforce,
+    blocking_pairs,
+    construct_instance,
     downset_from_matching,
     eliminate,
+    enumerate_downsets_bruteforce,
     exposed_rotations,
     gale_shapley,
     matching_from_downset,
+    parse_instance,
+    pathwidth_exact_tiny,
+    realize_attr6,
+    realize_bounded3,
+    realize_complete,
+    realize_list2inf,
+    realize_range,
     rotation_digraph,
+    to_nice,
     transitive_closure,
 )
 
-from conftest import random_complete_instance, stable_matchings_by_permutation_scan
+from conftest import (
+    DATA,
+    random_complete_instance,
+    random_dag,
+    random_incomplete_instance,
+    stable_matchings_by_permutation_scan,
+)
 
 MU0 = Matching([(0, 0), (1, 1), (2, 2), (3, 3)])
 MU1 = Matching([(0, 1), (1, 0), (2, 2), (3, 3)])
@@ -199,7 +216,8 @@ def test_bruteforce_incomplete_matches_matching_scan():
     from conftest import random_incomplete_instance, stable_matchings_by_matching_scan
 
     rng = random.Random(75)
-    for _ in range(20):
+    # 200 draws include instances where a single woman stops a man's move
+    for _ in range(200):
         inst = random_incomplete_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
         got = all_stable_matchings_bruteforce(inst)
         assert got == stable_matchings_by_matching_scan(inst)
@@ -208,6 +226,16 @@ def test_bruteforce_incomplete_matches_matching_scan():
         matched_men = {frozenset(m for m, _ in mu.pairs) for mu in got}
         matched_women = {frozenset(w for _, w in mu.pairs) for mu in got}
         assert len(matched_men) == 1 and len(matched_women) == 1
+
+
+def test_single_woman_stops_a_rotation():
+    # w0 accepts only m0 and stays single; m0 ranks her between his two
+    # partners in the 2x2 cycle, so moving him down would let (m0, w0) block
+    inst = Instance([[1, 0, 2], [2, 1]], [[0], [1, 0], [0, 1]])
+    mu0 = gale_shapley(inst, MAN)
+    assert exposed_rotations(inst, mu0) == []
+    assert rotation_digraph(inst).rotations == ()
+    assert all_stable_matchings_bruteforce(inst) == [mu0]
 
 
 def test_bruteforce_example(example_instance):
@@ -242,3 +270,103 @@ def test_to_dot_mentions_rules(example_instance):
     dg = rotation_digraph(example_instance)
     dot = dg.to_dot(example_instance)
     assert "rule=12" in dot and "rule=1" in dot and "digraph" in dot
+
+
+def _reference_rotation_digraph(inst):
+    """Rotation pairs by id and rule-tagged edges, computed by the oracles:
+    repeated exposed_rotations, eliminate on exposed[0], then the Rule 1 /
+    Rule 2 edges from the recorded moves.
+    """
+    mu = gale_shapley(inst, MAN)
+    rotations = []
+    # (man, woman) -> (id, exact), and the women's mirror
+    move_down, move_up = {}, {}
+    while True:
+        exposed = exposed_rotations(inst, mu)
+        if not exposed:
+            break
+        rho, rid = exposed[0], len(rotations)
+        rotations.append(rho.pairs)
+        n = len(rho.pairs)
+        for i, (m, w) in enumerate(rho.pairs):
+            w_next = rho.pairs[(i + 1) % n][1]
+            m_prev = rho.pairs[(i - 1) % n][0]
+            lo, hi = inst.men_rank[m][w], inst.men_rank[m][w_next]
+            for w_mid in inst.men_prefs[m][lo : hi - 1]:
+                move_down[(m, w_mid)] = (rid, False)
+            move_down[(m, w_next)] = (rid, True)
+            lo_w, hi_w = inst.women_rank[w][m_prev], inst.women_rank[w][m]
+            for m_mid in inst.women_prefs[w][lo_w : hi_w - 1]:
+                move_up[(w, m_mid)] = (rid, False)
+            move_up[(w, m_prev)] = (rid, True)
+        mu = eliminate(inst, mu, rho)
+    edges = {}
+    for rid, pairs in enumerate(rotations):
+        for m, w in pairs:
+            hit = move_down.get((m, w))
+            if hit is not None and hit[1] and hit[0] != rid:
+                edges.setdefault((hit[0], rid), set()).add(RULE_1)
+    for (m, w), (rid, exact) in move_down.items():
+        if exact:
+            continue
+        hit = move_up.get((w, m))
+        if hit is not None and not hit[1] and hit[0] != rid:
+            edges.setdefault((hit[0], rid), set()).add(RULE_2)
+    return rotations, {e: frozenset(rules) for e, rules in edges.items()}
+
+
+def _realized_instances(rng, count):
+    for _ in range(count):
+        g = random_dag(rng, rng.randint(1, 7))
+        _w, x = pathwidth_exact_tiny(g)
+        yield construct_instance(g)
+        yield realize_complete(g)
+        yield realize_bounded3(g)
+        yield realize_attr6(g).instance
+        yield realize_list2inf(g).instance
+        yield realize_range(g, to_nice(g, x))
+
+
+def test_rotation_digraph_matches_reference():
+    rng = random.Random(83)
+    corpus = [parse_instance(path.read_text(encoding="utf-8")) for path in sorted(DATA.glob("*.sm"))]
+    for i in range(240):
+        if i % 3 == 0:
+            corpus.append(
+                random_incomplete_instance(
+                    rng, rng.randint(1, 40), rng.randint(1, 40), rng.choice((0.3, 0.6, 0.9))
+                )
+            )
+        else:
+            corpus.append(random_complete_instance(rng, rng.randint(1, 40)))
+    corpus += _realized_instances(rng, 8)
+    for inst in corpus:
+        dg = rotation_digraph(inst)
+        assert [rho.id for rho in dg.rotations] == list(range(len(dg.rotations)))
+        pairs, edges = _reference_rotation_digraph(inst)
+        assert [rho.pairs for rho in dg.rotations] == pairs
+        # the same edges in the same order, so every later set and dict
+        # built from them iterates alike
+        assert list(dg.edges.items()) == list(edges.items())
+        assert dg.man_optimal == gale_shapley(inst, MAN)
+
+
+def test_matching_from_downset_matches_elimination_chain():
+    rng = random.Random(89)
+    corpus = [random_complete_instance(rng, rng.randint(1, 9)) for _ in range(25)]
+    corpus += [
+        random_incomplete_instance(rng, rng.randint(1, 9), rng.randint(1, 9), 0.7)
+        for _ in range(25)
+    ]
+    corpus += _realized_instances(rng, 3)
+    for inst in corpus:
+        dg = rotation_digraph(inst)
+        for zs in enumerate_downsets_bruteforce(dg.dag()):
+            ids = sorted(v - 1 for v in zs)
+            want = gale_shapley(inst, MAN)
+            for rid in ids:
+                want = eliminate(inst, want, dg.rotations[rid])
+            mu = matching_from_downset(inst, dg, ids)
+            assert mu == want
+            assert not blocking_pairs(inst, mu)
+            assert downset_from_matching(inst, dg, mu) == frozenset(ids)
