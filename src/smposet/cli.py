@@ -30,7 +30,6 @@ from .pathdecomp import (
     parse_decomposition,
     pathwidth_exact_tiny,
     to_nice,
-    validate_decomposition,
 )
 from .downsets import count_downsets
 from .rotations import all_stable_matchings_bruteforce, rotation_digraph
@@ -134,9 +133,11 @@ def _cmd_realize(args) -> int:
         if not args.decomp:
             raise ValidationError("--model range requires --decomp")
         x = parse_decomposition(_read(args.decomp))
-        if not validate_decomposition(g, x):
-            raise ValidationError("decomposition is not valid for the poset")
-        inst = realize_range(g, to_nice(g, x))
+        try:
+            x = to_nice(g, x)
+        except ValidationError:
+            raise ValidationError("decomposition is not valid for the poset") from None
+        inst = realize_range(g, x)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown model {args.model}")
     Path(args.output).write_text(format_instance(inst), encoding="utf-8")
@@ -183,9 +184,11 @@ def _cmd_count(args) -> int:
             raise ValidationError("count --dag requires --decomp")
         g = parse_dag(_read(args.dag))
         x = parse_decomposition(_read(args.decomp))
-        if not validate_decomposition(g, x):
-            raise ValidationError("decomposition is not valid for the DAG")
-        print(count_downsets(g, to_nice(g, x)))
+        try:
+            x = to_nice(g, x)
+        except ValidationError:
+            raise ValidationError("decomposition is not valid for the DAG") from None
+        print(count_downsets(g, x))
         return 0
     if not args.instance:
         raise ValidationError("count needs --instance or --dag")

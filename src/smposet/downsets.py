@@ -3,6 +3,13 @@ downsets of a DAG, all from one table DP (`_dp`) over a nice path
 decomposition. Counting keeps no tables; sampling and marginals keep the
 table before each forget step and walk the steps backward over them.
 
+The decomposition is checked inside that one pass, in O(1) per step plus the
+neighbour lookups the table update does anyway. Each step inserts or forgets
+one vertex. An inserted vertex is a vertex of g that was not inserted
+before, and its seen neighbours are in its bag. The final bag is empty, and
+there are 2p bags. A bag sequence passes exactly when it is nice and a
+valid path decomposition of g.
+
 Counts are plain Python ints, so they are exact at any size.
 """
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import random
 
 from .errors import CapExceededError, ValidationError
-from .pathdecomp import PathDecomposition, validate_decomposition
+from .pathdecomp import PathDecomposition
 from .posets import Dag
 
 HARD_WIDTH_CAP = 30
@@ -26,6 +33,10 @@ def _dp(
     step: the vertex, its slot bit, whether it was inserted, and the new
     table. A table maps a bitmask over bag slots to the number of downsets of
     the seen subgraph that intersect the bag exactly there.
+
+    Raises ValidationError at the first step that is not nice or not valid
+    for the graph. It does not check that every vertex was seen: callers
+    compare the number of bags with 2p after the pass.
     """
     table: dict[int, int] = {0: 1}
     slot: dict[int, int] = {}
@@ -40,6 +51,10 @@ def _dp(
         inserted = bag > prev
         prev = bag
         if inserted:
+            if v not in in_adj:
+                raise ValidationError("decomposition is not valid for this graph")
+            if v in seen:
+                raise ValidationError("decomposition is not nice")
             if len(slot) >= max_width + 1:
                 raise CapExceededError(
                     f"bag size {len(slot) + 1} exceeds width cap {max_width}"
@@ -96,31 +111,34 @@ def _count_over_bags(
     return sum(table.values())
 
 
-def _check(g: Dag, x: PathDecomposition) -> None:
-    if not x.is_nice:
-        raise ValidationError("decomposition is not nice")
-    if not validate_decomposition(g, x):
+def _check_covers(g: Dag, x: PathDecomposition) -> None:
+    # after a pass of _dp: each vertex inserted once and forgotten once
+    if len(x.bags) != 2 * g.p:
         raise ValidationError("decomposition is not valid for this graph")
 
 
 def count_downsets(g: Dag, x: PathDecomposition, max_width: int = HARD_WIDTH_CAP) -> int:
     """Number of downsets of g, computed over a valid nice path decomposition
-    in time O(2^w w n) for width w.
+    in time O(2^w w n) for width w. The same pass checks the decomposition
+    and raises ValidationError unless it is nice and valid for g; a bag
+    wider than max_width raises CapExceededError when the pass reaches it,
+    before any fault in a later step is seen.
     """
-    _check(g, x)
-    return _count_over_bags(x.bags, g.in_adj, g.out_adj, max_width)
+    total = _count_over_bags(x.bags, g.in_adj, g.out_adj, max_width)
+    _check_covers(g, x)
+    return total
 
 
 def _forward(g: Dag, x: PathDecomposition, max_width: int):
     """The steps of the forward pass, each with the table before it if it is
     a forget step, and the downset count.
     """
-    _check(g, x)
     steps = []
     before = {0: 1}
     for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
         steps.append((v, vbit, inserted, None if inserted else before))
         before = table
+    _check_covers(g, x)
     return steps, sum(before.values())
 
 

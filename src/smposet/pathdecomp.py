@@ -59,24 +59,32 @@ class PathDecomposition:
 def validate_decomposition(g: Dag, x: PathDecomposition) -> bool:
     """Check the three path decomposition conditions against the undirected
     version of g: vertex coverage, edge coverage, and convexity.
+
+    One pass over the bags records where each vertex enters and leaves; a
+    vertex that enters a second time breaks convexity. Time is linear in the
+    total bag size plus the edge count.
     """
-    verts = set(g.vertices())
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
+    verts = frozenset(g.vertices())
+    first = [-1] * (g.p + 1)
+    last = [-1] * (g.p + 1)
+    prev: frozenset[int] = frozenset()
     for i, bag in enumerate(x.bags):
-        for v in bag:
-            if v not in verts:
-                return False
-            first.setdefault(v, i)
-            last[v] = i
-    if set(first) != verts:
-        return False
-    for v, lo in first.items():
-        hi = last[v]
-        if any(v not in x.bags[i] for i in range(lo, hi + 1)):
+        if not bag <= verts:
             return False
+        # int(): a bag may hold a value equal to a vertex, such as 2.0
+        for v in map(int, bag - prev):
+            if first[v] >= 0:
+                return False
+            first[v] = i
+        for v in map(int, prev - bag):
+            last[v] = i - 1
+        prev = bag
+    for v in map(int, prev):
+        last[v] = len(x.bags) - 1
+    if -1 in first[1:]:
+        return False
     for u, v in g.edges:
-        if max(first[u], first[v]) > min(last[u], last[v]):
+        if first[u] > last[v] or first[v] > last[u]:
             return False
     return True
 
@@ -235,7 +243,7 @@ def parse_decomposition(text: str) -> PathDecomposition:
     bags = []
     for line in body:
         try:
-            bags.append(frozenset(int(tok) for tok in line.split()))
+            bags.append(frozenset(map(int, line.split())))
         except ValueError:
             raise ParseError(f"bad bag line: {line!r}") from None
     return PathDecomposition(tuple(bags))

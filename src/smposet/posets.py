@@ -6,9 +6,29 @@ Vertices are 1..p throughout, matching the file format.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapExceededError, ParseError, ValidationError
+
+
+def _adjacency(p: int, pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
+    """Each vertex 1..p mapped to the ys of the pairs (x, y) with x equal to
+    it, in order; pairs come grouped by x. Only one run is a list at a time,
+    so the garbage collector does not rescan p live lists: at p = 1e5 those
+    rescans took about half of the time to build a Dag.
+    """
+    adj: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, p + 1), ())
+    key, run = None, []
+    for x, y in pairs:
+        if x != key:
+            if run:
+                adj[key] = tuple(run)
+            key, run = x, []
+        run.append(y)
+    if run:
+        adj[key] = tuple(run)
+    return adj
 
 
 class Dag:
@@ -21,11 +41,16 @@ class Dag:
         colors: Optional[Mapping[tuple[int, int], int]] = None,
     ):
         self.p = int(p)
-        self.edges = frozenset((int(u), int(v)) for u, v in edges)
+        edge_list = [(int(u), int(v)) for u, v in edges]
+        self.edges = frozenset(edge_list)
+        if len(edge_list) != len(self.edges):
+            edge_list = list(self.edges)
+        # linear on the sorted edge lists the file format usually holds
+        edge_list.sort()
         self.colors = dict(colors) if colors else {}
         if self.p < 0:
             raise ValidationError("negative vertex count")
-        for u, v in self.edges:
+        for u, v in edge_list:
             if not (1 <= u <= self.p and 1 <= v <= self.p):
                 raise ValidationError(f"edge ({u},{v}) out of range 1..{self.p}")
             if u == v:
@@ -33,17 +58,10 @@ class Dag:
         for e in self.colors:
             if e not in self.edges:
                 raise ValidationError(f"color assigned to missing edge {e}")
-        self.out_adj: dict[int, tuple[int, ...]] = {v: () for v in self.vertices()}
-        self.in_adj: dict[int, tuple[int, ...]] = {v: () for v in self.vertices()}
-        outs: dict[int, list[int]] = {}
-        ins: dict[int, list[int]] = {}
-        for u, v in sorted(self.edges):
-            outs.setdefault(u, []).append(v)
-            ins.setdefault(v, []).append(u)
-        for u, vs in outs.items():
-            self.out_adj[u] = tuple(vs)
-        for v, us in ins.items():
-            self.in_adj[v] = tuple(us)
+        self.out_adj = _adjacency(self.p, edge_list)
+        # the sort is stable, so tails stay ascending within each head
+        by_head = sorted(edge_list, key=itemgetter(1))
+        self.in_adj = _adjacency(self.p, ((v, u) for u, v in by_head))
         self._check_acyclic()
 
     def vertices(self) -> range:

@@ -10,6 +10,8 @@ bounded range.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -204,11 +206,21 @@ def evaluate_profiles(
     """Complete instance ranked by descending functional value, with exact
     rational comparison. Raises on any tie, which would make preferences
     non-strict.
+
+    Scores are integers: each weight vector is scaled by the LCM of its
+    denominators, and each side's points by the LCM of theirs. Both factors
+    are positive, and the constant adds the same to every score of a ranking,
+    so the order and the ties are those of the rational values.
     """
 
-    def rank(profile: AttributeProfile, points: list[tuple[Fraction, ...]], who: str):
+    def integer_rows(rows) -> list[list[int]]:
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        return [[int(x * scale) for x in row] for row in rows]
+
+    def rank(profile: AttributeProfile, points: list[list[int]], who: str):
+        (weights,) = integer_rows([profile.weights])
         scored = sorted(
-            ((profile.value(pt), i) for i, pt in enumerate(points)),
+            ((sum(map(operator.mul, weights, pt)), i) for i, pt in enumerate(points)),
             key=lambda t: t[0],
             reverse=True,
         )
@@ -217,8 +229,8 @@ def evaluate_profiles(
                 raise ValidationError(f"tie in {who}'s ranking")
         return [i for _, i in scored]
 
-    w_points = [p.point for p in women_profiles]
-    m_points = [p.point for p in men_profiles]
+    w_points = integer_rows([p.point for p in women_profiles])
+    m_points = integer_rows([p.point for p in men_profiles])
     men_prefs = [rank(p, w_points, f"man {i}") for i, p in enumerate(men_profiles)]
     women_prefs = [rank(p, m_points, f"woman {i}") for i, p in enumerate(women_profiles)]
     return Instance(men_prefs, women_prefs, men_labels, women_labels)
@@ -399,11 +411,8 @@ def realize_range(h: Dag, x: PathDecomposition) -> Instance:
         for v in bag:
             first.setdefault(v, i)
             last[v] = i
-    phi = {}
-    for u, v in h.edges:
-        phi[(u, v)] = next(
-            i for i, bag in enumerate(x.bags, start=1) if u in bag and v in bag
-        )
+    # the first bag holding both ends: bag ranges are convex and overlap
+    phi = {(u, v): max(first[u], first[v]) for u, v in h.edges}
     csets = {v: tuple(range(first[v], last[v] + 2)) for v in h.vertices()}
     pis = {v: bitonic_sequence(first[v], last[v] + 1) for v in h.vertices()}
     i1 = construct_instance(h, colors=phi, color_sets=csets, orderings=pis)

@@ -70,6 +70,71 @@ def random_dag(rng, p: int, edge_prob: float = 0.35) -> Dag:
     return Dag(p, edges)
 
 
+def random_nice_bags(rng, g: Dag) -> list[frozenset[int]]:
+    """A random nice path decomposition of g: insert the vertices in a random
+    order, and forget each vertex, in random order, once all its neighbours
+    are in.
+    """
+    nbrs = {v: set() for v in g.vertices()}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    order = rng.sample(list(g.vertices()), g.p)
+    inserted: set[int] = set()
+    cur: set[int] = set()
+    bags = []
+    for v in order:
+        inserted.add(v)
+        cur.add(v)
+        bags.append(frozenset(cur))
+        done = sorted(u for u in cur if nbrs[u] <= inserted)
+        rng.shuffle(done)
+        for u in done:
+            cur.discard(u)
+            bags.append(frozenset(cur))
+    return bags
+
+
+def corrupt_bags(rng, g: Dag, bags: list[frozenset[int]]) -> list[frozenset[int]]:
+    """One random corruption of a nice decomposition of g. Some results are
+    still nice and valid (a swap of equal bags, an edge the other order covers
+    anyway); the callers compare against an oracle, not against the kind.
+    """
+    bags = list(bags)
+    kind = rng.randrange(7)
+    if kind == 0 and len(bags) >= 2:  # swap two bags
+        i, j = rng.sample(range(len(bags)), 2)
+        bags[i], bags[j] = bags[j], bags[i]
+    elif kind == 1 and any(bags):  # insert and forget a forgotten vertex again
+        v = rng.choice(sorted(frozenset().union(*bags)))
+        gone = max(i for i, b in enumerate(bags) if v in b) + 1
+        if gone < len(bags):
+            k = rng.randint(gone + 1, len(bags))
+            bags[k:k] = [bags[k - 1] | {v}, bags[k - 1]]
+    elif kind == 2:  # a vertex that is not in g
+        z = rng.choice([0, g.p + 1])
+        k = rng.randint(0, len(bags))
+        before = bags[k - 1] if k else frozenset()
+        bags[k:k] = [before | {z}, before]
+    elif kind == 3 and bags:  # drop a bag
+        del bags[rng.randrange(len(bags))]
+    elif kind == 4 and g.p:  # leave a vertex out, keeping one change per step
+        v = rng.choice(list(g.vertices()))
+        out = []
+        for b in bags:
+            b = b - {v}
+            if not out or out[-1] != b:
+                out.append(b)
+        bags = out if out and out[0] else out[1:]
+    elif kind == 5 and g.edges:  # nice bags of g minus one edge
+        e = rng.choice(sorted(g.edges))
+        bags = random_nice_bags(rng, Dag(g.p, g.edges - {e}))
+    elif kind == 6 and bags:  # a vertex added to one bag
+        i = rng.randrange(len(bags))
+        bags[i] = bags[i] | {rng.randint(0, g.p + 1)}
+    return bags
+
+
 def stable_matchings_by_permutation_scan(inst: Instance) -> list[Matching]:
     """Oracle independent of the rotation machinery: filter every perfect
     matching by the blocking-pair predicate. Complete square instances only.

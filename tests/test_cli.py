@@ -288,3 +288,29 @@ def test_realize_output_reparses_and_verifies(workdir, capsys):
     inst = parse_instance(out_path.read_text())
     g = parse_dag((workdir / "diamond.dag").read_text())
     assert check_realization(g, inst)
+
+
+@pytest.mark.parametrize(
+    "bags",
+    [
+        "1 2 3\n2 3 4\n1\n",  # vertex 1 reappears: not convex
+        "1 2 3\n2 3\n",  # vertex 4 missing
+        "1 2 3\n4\n",  # edges 2->4 and 3->4 in no bag
+        "1 2 3\n2 3 4 5\n",  # vertex 5 out of range
+    ],
+)
+def test_invalid_decomposition_messages(workdir, capsys, bags):
+    pd = workdir / "bad.pd"
+    pd.write_text(f"PD {bags.count(chr(10))}\n{bags}")
+    code, out, err = run(
+        capsys, "count", "--dag", workdir / "diamond.dag", "--decomp", pd
+    )
+    assert (code, out, err) == (2, "", "error: decomposition is not valid for the DAG\n")
+    out_path = workdir / "range.sm"
+    code, out, err = run(
+        capsys,
+        "realize", "--model", "range", "--poset", workdir / "diamond.dag",
+        "--decomp", pd, "-o", out_path,
+    )
+    assert (code, out, err) == (2, "", "error: decomposition is not valid for the poset\n")
+    assert not out_path.exists()

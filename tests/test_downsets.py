@@ -17,10 +17,11 @@ from smposet import (
     sample_downsets,
     to_nice,
     uniform_int,
+    validate_decomposition,
 )
 from smposet.posets import reachable_from
 
-from conftest import random_dag
+from conftest import corrupt_bags, random_dag, random_nice_bags
 
 
 def nice_for(g: Dag) -> PathDecomposition:
@@ -62,6 +63,40 @@ def test_count_rejects_invalid():
     x = PathDecomposition.of([{1}, set(), {2}, set()])
     with pytest.raises(ValidationError):
         count_downsets(g, x)
+
+
+def test_dp_rejects_exactly_what_the_checks_reject():
+    # the one-pass checks inside the DP against is_nice and
+    # validate_decomposition, on nice decompositions with random corruptions
+    rng = random.Random(139)
+    rejected = accepted = 0
+    for _ in range(2000):
+        p = rng.randint(0, 7)
+        names = rng.sample(range(1, p + 1), p)
+        base = random_dag(rng, p, rng.choice([0.2, 0.4, 0.6]))
+        g = Dag(p, [(names[u - 1], names[v - 1]) for u, v in base.edges])
+        bags = random_nice_bags(rng, g)
+        for _ in range(rng.randint(0, 2)):
+            bags = corrupt_bags(rng, g, bags)
+        x = PathDecomposition(tuple(bags))
+        calls = (
+            lambda: count_downsets(g, x, max_width=30),
+            lambda: sample_downsets(g, x, random.Random(1), 3, max_width=30),
+            lambda: downset_marginals(g, x),
+        )
+        if not (x.is_nice and validate_decomposition(g, x)):
+            rejected += 1
+            for call in calls:
+                with pytest.raises(ValidationError):
+                    call()
+            continue
+        accepted += 1
+        downsets = enumerate_downsets_bruteforce(g)
+        count, draws, (total, marginals) = (call() for call in calls)
+        assert count == total == len(downsets)
+        assert all(z in downsets for z in draws)
+        assert marginals == {v: sum(v in z for z in downsets) for v in g.vertices()}
+    assert rejected > 500 and accepted > 500
 
 
 def test_count_width_cap():

@@ -20,7 +20,13 @@ from smposet import (
 )
 from smposet.instance import Instance
 
-from conftest import data_text, random_complete_instance, random_dag
+from conftest import (
+    corrupt_bags,
+    data_text,
+    random_complete_instance,
+    random_dag,
+    random_nice_bags,
+)
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 DIAMOND_X = PathDecomposition.of(
@@ -48,6 +54,61 @@ def test_dropping_a_bag_breaks_edge_coverage():
 def test_convexity_violation_detected():
     x = PathDecomposition.of([{1}, {2}, {1, 2}])
     assert not validate_decomposition(Dag(2, [(1, 2)]), x)
+
+
+def _validate_by_rescan(g: Dag, x: PathDecomposition) -> bool:
+    """Reference: the earlier validate_decomposition, which rescans each
+    vertex's bag span to prove convexity.
+    """
+    verts = set(g.vertices())
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, bag in enumerate(x.bags):
+        for v in bag:
+            if v not in verts:
+                return False
+            first.setdefault(v, i)
+            last[v] = i
+    if set(first) != verts:
+        return False
+    for v, lo in first.items():
+        hi = last[v]
+        if any(v not in x.bags[i] for i in range(lo, hi + 1)):
+            return False
+    for u, v in g.edges:
+        if max(first[u], first[v]) > min(last[u], last[v]):
+            return False
+    return True
+
+
+def test_validate_matches_rescan_reference():
+    rng = random.Random(113)
+    outcomes = set()
+    for _ in range(1500):
+        p = rng.randint(0, 8)
+        g = random_dag(rng, p, rng.choice([0.2, 0.4, 0.6]))
+        kind = rng.randrange(3)
+        if kind == 0:  # nice, then corrupted
+            bags = random_nice_bags(rng, g)
+            for _ in range(rng.randint(0, 2)):
+                bags = corrupt_bags(rng, g, bags)
+        elif kind == 1:  # the non-nice layout decomposition, then corrupted
+            bags = list(pathwidth_exact_tiny(g)[1].bags)
+            if rng.random() < 0.5:
+                bags = corrupt_bags(rng, g, bags)
+        else:  # random bags, mostly invalid
+            bags = [
+                frozenset(rng.sample(range(0, p + 2), rng.randint(0, min(p + 2, 4))))
+                for _ in range(rng.randint(0, 2 * p + 1))
+            ]
+        if bags and rng.random() < 0.1:  # a value that is not a vertex number
+            i = rng.randrange(len(bags))
+            bags[i] = bags[i] | {rng.choice(["a", 1.5, -1, 2.0, True])}
+        x = PathDecomposition(tuple(bags))
+        expected = _validate_by_rescan(g, x)
+        assert validate_decomposition(g, x) is expected, (g.p, sorted(g.edges), bags)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_parse_format_round_trip():

@@ -38,6 +38,42 @@ def test_self_loop_rejected():
         Dag(2, [(1, 1)])
 
 
+def test_bad_edge_named_is_the_smallest():
+    with pytest.raises(ValidationError, match=r"edge \(0,2\) out of range"):
+        Dag(3, [(4, 1), (2, 2), (0, 2), (1, 5)])
+    with pytest.raises(ValidationError, match="self-loop at 2"):
+        Dag(3, [(3, 3), (2, 2), (3, 1)])
+
+
+def _adjacency_reference(p, edges):
+    # the earlier construction: sort the deduplicated edge set
+    outs = {v: [] for v in range(1, p + 1)}
+    ins = {v: [] for v in range(1, p + 1)}
+    for u, v in sorted(set(edges)):
+        outs[u].append(v)
+        ins[v].append(u)
+    return (
+        {v: tuple(ws) for v, ws in outs.items()},
+        {v: tuple(us) for v, us in ins.items()},
+    )
+
+
+def test_adjacency_matches_reference_on_shuffled_and_repeated_edges():
+    rng = random.Random(151)
+    for _ in range(200):
+        p = rng.randint(0, 12)
+        edges = sorted(random_dag(rng, p, rng.choice([0.2, 0.5, 0.8])).edges)
+        names = rng.sample(range(1, p + 1), p)  # vertex order no longer topological
+        edges = [(names[u - 1], names[v - 1]) for u, v in edges]
+        if edges and rng.random() < 0.5:
+            edges += rng.choices(edges, k=rng.randint(1, len(edges)))
+        rng.shuffle(edges)
+        g = Dag(p, edges)
+        assert g.edges == frozenset(edges)
+        assert (g.out_adj, g.in_adj) == _adjacency_reference(p, edges)
+        assert list(g.out_adj) == list(g.in_adj) == list(range(1, p + 1))
+
+
 def test_parse_dag_and_round_trip():
     g = parse_dag(data_text("diamond.dag"))
     assert g.p == 4 and g.edges == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})

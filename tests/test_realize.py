@@ -286,6 +286,49 @@ def test_evaluate_profiles_detects_ties():
         evaluate_profiles(men, men)
 
 
+def test_evaluate_profiles_matches_rational_ranking():
+    # integer scoring against ranking by AttributeProfile.value, on
+    # fractional points, weights and constants, with ties made on purpose
+    rng = random.Random(179)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def profile(pool):
+        point = rng.choice(pool) if pool and rng.random() < 0.2 else tuple(
+            frac() for _ in range(6)
+        )
+        pool.append(point)
+        return AttributeProfile(point, tuple(frac() for _ in range(6)), frac())
+
+    def reference(profiles, others):
+        lists = []
+        for prof in profiles:
+            values = [prof.value(o.point) for o in others]
+            if len(set(values)) != len(values):
+                return None
+            lists.append(sorted(range(len(others)), key=lambda i: -values[i]))
+        return lists
+
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        pool: list = []
+        men = [profile(pool) for _ in range(n)]
+        pool = []
+        women = [profile(pool) for _ in range(n)]
+        men_lists, women_lists = reference(men, women), reference(women, men)
+        if men_lists is None or women_lists is None:
+            ties += 1
+            with pytest.raises(ValidationError, match="tie"):
+                evaluate_profiles(men, women)
+            continue
+        inst = evaluate_profiles(men, women)
+        assert [list(lst) for lst in inst.men_prefs] == men_lists
+        assert [list(lst) for lst in inst.women_prefs] == women_lists
+    assert 0 < ties < 300
+
+
 # --- list2inf -------------------------------------------------------------
 
 
