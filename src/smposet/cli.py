@@ -25,7 +25,7 @@ from .posets import (
     parse_dag,
 )
 from .pathdecomp import (
-    construct_path_decomposition,
+    _extent_decomposition,
     format_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
@@ -148,10 +148,10 @@ def _cmd_realize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = parse_instance(_read(args.instance))
+    dg = rotation_digraph(inst)
     if inst.is_complete:
-        dg, x = construct_path_decomposition(inst)
-    else:
-        dg = rotation_digraph(inst)
+        profile = compute_range(inst)
+        x = _extent_decomposition(inst, dg, profile)
     print(f"men {inst.n_men} women {inst.n_women} complete {'yes' if inst.is_complete else 'no'}")
     print(f"rotations {len(dg.rotations)}")
     for rho in dg.rotations:
@@ -164,7 +164,6 @@ def _cmd_analyze(args) -> int:
         tag = "".join(str(r) for r in sorted(rules))
         print(f"rho{a + 1} -> rho{b + 1} rule={tag}")
     if inst.is_complete:
-        profile = compute_range(inst)
         print(f"range {profile.k}")
         for m in range(inst.n_men):
             print(f"minrank {inst.men_labels[m]}: {profile.orank_men[m]}")
@@ -185,10 +184,10 @@ def _cmd_count(args) -> int:
         g = parse_dag(_read(args.dag))
         x = parse_decomposition(_read(args.decomp))
         try:
-            x = to_nice(g, x)
+            total = count_downsets(g, x)
         except ValidationError:
             raise ValidationError("decomposition is not valid for the DAG") from None
-        print(count_downsets(g, x))
+        print(total)
         return 0
     if not args.instance:
         raise ValidationError("count needs --instance or --dag")

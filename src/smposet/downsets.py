@@ -1,20 +1,22 @@
 """Counting, exactly uniform sampling and per-vertex marginals of the
-downsets of a DAG, all from one table DP (`_dp`) over a nice path
-decomposition. Counting keeps no tables; sampling and marginals keep the
-table before each forget step and walk the steps backward over them.
+downsets of a DAG, all from one table DP (`_dp`) over a path decomposition.
+Counting keeps no tables; sampling and marginals keep the table before each
+forget step and walk the steps backward over them.
 
-The decomposition is checked inside that one pass, in O(1) per step plus the
-neighbour lookups the table update does anyway. Each step inserts or forgets
-one vertex. An inserted vertex is a vertex of g that was not inserted
-before, and its seen neighbours are in its bag. The final bag is empty, and
-there are 2p bags. A bag sequence passes exactly when it is nice and a
-valid path decomposition of g.
+The DP reads any bag sequence and expands it into nice steps itself, each
+inserting or forgetting one vertex. The decomposition is checked inside that
+one pass, in O(1) per step plus the neighbour lookups the table update does
+anyway. An inserted vertex is a vertex of g that was not inserted before,
+and its seen neighbours are in its bag; after the pass every vertex of g has
+been inserted. A bag sequence passes exactly when it is a valid path
+decomposition of g.
 
 Counts are plain Python ints, so they are exact at any size.
 """
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import CapExceededError, ValidationError
 from .pathdecomp import PathDecomposition
@@ -34,99 +36,88 @@ def _dp(
     table. A table maps a bitmask over bag slots to the number of downsets of
     the seen subgraph that intersect the bag exactly there.
 
-    Raises ValidationError at the first step that is not nice or not valid
-    for the graph. It does not check that every vertex was seen: callers
-    compare the number of bags with 2p after the pass.
+    Between two bags, and after the last one, it forgets the vertices that
+    leave in sorted order and then inserts the vertices that enter in sorted
+    order, as `to_nice` does. Raises ValidationError at the first step that
+    is not valid for the graph, and after the pass if a vertex of the graph
+    was never inserted.
     """
     table: dict[int, int] = {0: 1}
     slot: dict[int, int] = {}
     free: list[int] = []
     seen: set[int] = set()
     prev: frozenset[int] = frozenset()
-    for bag in bags:
+    for bag in chain(bags, (frozenset(),)):
         delta = bag ^ prev
-        if len(delta) != 1:
-            raise ValidationError("decomposition is not nice")
-        v = next(iter(delta))
-        inserted = bag > prev
-        prev = bag
-        if inserted:
-            if v not in in_adj:
+        if len(delta) > 1:
+            # before sorting, so that a bag holding "a" is not a TypeError
+            if not in_adj.keys() >= delta:
                 raise ValidationError("decomposition is not valid for this graph")
-            if v in seen:
-                raise ValidationError("decomposition is not nice")
-            if len(slot) >= max_width + 1:
-                raise CapExceededError(
-                    f"bag size {len(slot) + 1} exceeds width cap {max_width}"
-                )
-            s = free.pop() if free else len(slot)
-            slot[v] = s
-            vbit = 1 << s
-            umask = 0
-            for u in in_adj.get(v, ()):
-                if u in seen:
-                    if u not in slot:
-                        raise ValidationError(
-                            "invalid decomposition: seen in-neighbor outside bag"
-                        )
-                    umask |= 1 << slot[u]
-            wmask = 0
-            for w in out_adj.get(v, ()):
-                if w in seen:
-                    if w not in slot:
-                        raise ValidationError(
-                            "invalid decomposition: seen out-neighbor outside bag"
-                        )
-                    wmask |= 1 << slot[w]
-            seen.add(v)
-            new: dict[int, int] = {}
-            for a, c in table.items():
-                if not a & wmask:
-                    new[a] = c
-                if a & umask == umask:
-                    new[a | vbit] = new.get(a | vbit, 0) + c
-        else:
-            s = slot.pop(v)
-            free.append(s)
-            vbit = 1 << s
-            new = {}
-            for a, c in table.items():
-                key = a & ~vbit
-                new[key] = new.get(key, 0) + c
-        table = new
-        yield v, vbit, inserted, table
-    if prev:
-        raise ValidationError("nice decomposition must end with an empty bag")
-
-
-def _count_over_bags(
-    bags: tuple[frozenset[int], ...],
-    in_adj: dict[int, tuple[int, ...]],
-    out_adj: dict[int, tuple[int, ...]],
-    max_width: int,
-) -> int:
-    table = {0: 1}
-    for _v, _vbit, _inserted, table in _dp(bags, in_adj, out_adj, max_width):
-        pass
-    return sum(table.values())
-
-
-def _check_covers(g: Dag, x: PathDecomposition) -> None:
-    # after a pass of _dp: each vertex inserted once and forgotten once
-    if len(x.bags) != 2 * g.p:
-        raise ValidationError("decomposition is not valid for this graph")
+            delta = sorted(prev - bag) + sorted(bag - prev)
+        prev = bag
+        for v in delta:
+            inserted = v not in slot
+            if inserted:
+                if v not in in_adj:
+                    raise ValidationError("decomposition is not valid for this graph")
+                if v in seen:
+                    raise ValidationError("invalid decomposition: vertex inserted twice")
+                # at the first insert of a wide bag, before its table grows
+                if len(bag) > max_width + 1:
+                    raise CapExceededError(
+                        f"bag size {len(bag)} exceeds width cap {max_width}"
+                    )
+                s = free.pop() if free else len(slot)
+                slot[v] = s
+                vbit = 1 << s
+                umask = 0
+                for u in in_adj[v]:
+                    if u in seen:
+                        if u not in slot:
+                            raise ValidationError(
+                                "invalid decomposition: seen in-neighbor outside bag"
+                            )
+                        umask |= 1 << slot[u]
+                wmask = 0
+                for w in out_adj[v]:
+                    if w in seen:
+                        if w not in slot:
+                            raise ValidationError(
+                                "invalid decomposition: seen out-neighbor outside bag"
+                            )
+                        wmask |= 1 << slot[w]
+                seen.add(v)
+                new: dict[int, int] = {}
+                for a, c in table.items():
+                    if not a & wmask:
+                        new[a] = c
+                    if a & umask == umask:
+                        new[a | vbit] = new.get(a | vbit, 0) + c
+            else:
+                s = slot.pop(v)
+                free.append(s)
+                vbit = 1 << s
+                new = {}
+                for a, c in table.items():
+                    key = a & ~vbit
+                    new[key] = new.get(key, 0) + c
+            table = new
+            yield v, vbit, inserted, table
+    if len(seen) != len(in_adj):
+        raise ValidationError("invalid decomposition: a vertex is in no bag")
 
 
 def count_downsets(g: Dag, x: PathDecomposition, max_width: int = HARD_WIDTH_CAP) -> int:
-    """Number of downsets of g, computed over a valid nice path decomposition
-    in time O(2^w w n) for width w. The same pass checks the decomposition
-    and raises ValidationError unless it is nice and valid for g; a bag
-    wider than max_width raises CapExceededError when the pass reaches it,
-    before any fault in a later step is seen.
+    """Number of downsets of g, computed over any valid path decomposition in
+    time O(2^w w n) for width w. The same pass checks the decomposition and
+    raises ValidationError unless it is valid for g; a bag wider than
+    max_width raises CapExceededError when the pass reaches it, before any
+    fault in a later step is seen.
     """
-    total = _count_over_bags(x.bags, g.in_adj, g.out_adj, max_width)
-    _check_covers(g, x)
-    return total
+    table = {0: 1}
+    for _v, _vbit, _inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
+        pass
+    return sum(table.values())
 
 
 def _forward(g: Dag, x: PathDecomposition, max_width: int):
@@ -138,7 +129,6 @@ def _forward(g: Dag, x: PathDecomposition, max_width: int):
     for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
         steps.append((v, vbit, inserted, None if inserted else before))
         before = table
-    _check_covers(g, x)
     return steps, sum(before.values())
 
 

@@ -97,51 +97,52 @@ class Instance:
             else _default_labels(WOMAN, self.n_women)
         )
         self._validate()
-        self.men_rank = tuple(
-            {w: r + 1 for r, w in enumerate(lst)} for lst in self.men_prefs
-        )
-        self.women_rank = tuple(
-            {m: r + 1 for r, m in enumerate(lst)} for lst in self.women_prefs
-        )
 
     def _validate(self) -> None:
+        """Check labels and lists, and build the rank dicts on the way: each
+        list is walked once, and its rank dict serves as its membership set.
+        """
         if len(self.men_labels) != self.n_men or len(self.women_labels) != self.n_women:
             raise ValidationError("label count does not match agent count")
         for side, labels in ((MAN, self.men_labels), (WOMAN, self.women_labels)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate label on side {side!r}")
-        men_sets = []
+        men_rank = []
         listed_by = [0] * self.n_women  # how many men list each woman
         for m, lst in enumerate(self.men_prefs):
-            s = set(lst)
-            if len(s) != len(lst):
+            rank = {w: r for r, w in enumerate(lst, 1)}
+            if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.men_labels[m]}'s list")
             for w in lst:
                 if not 0 <= w < self.n_women:
                     raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
                 listed_by[w] += 1
-            men_sets.append(s)
+            men_rank.append(rank)
+        women_rank = []
         for w, lst in enumerate(self.women_prefs):
-            s = set(lst)
-            if len(s) != len(lst):
+            rank = {m: r for r, m in enumerate(lst, 1)}
+            if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.women_labels[w]}'s list")
             for m in lst:
                 if not 0 <= m < self.n_men:
                     raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
-                if w not in men_sets[m]:
+                if w not in men_rank[m]:
                     raise ValidationError(
                         f"inconsistent lists: {self.women_labels[w]} ranks "
                         f"{self.men_labels[m]} but not vice versa"
                     )
+            women_rank.append(rank)
             # every man she lists lists her, so equal counts mean the converse
             if listed_by[w] == len(lst):
                 continue
             for m in range(self.n_men):
-                if w in men_sets[m] and m not in s:
+                if w in men_rank[m] and m not in rank:
                     raise ValidationError(
                         f"inconsistent lists: {self.men_labels[m]} ranks "
                         f"{self.women_labels[w]} but not vice versa"
                     )
+        self.men_rank = tuple(men_rank)
+        self.women_rank = tuple(women_rank)
 
     @property
     def is_complete(self) -> bool:

@@ -136,14 +136,19 @@ def construct_path_decomposition(
     Bags contain rotation ids shifted by +1, matching RotationDigraph.dag().
     """
     dg = rotation_digraph(inst)
-    profile = compute_range(inst)
+    return dg, _extent_decomposition(inst, dg, compute_range(inst))
+
+
+def _extent_decomposition(
+    inst: Instance, dg: RotationDigraph, profile: RangeProfile
+) -> PathDecomposition:
+    # bag i holds the rotations whose extent covers minrank i
     n = max(inst.n_men, inst.n_women)
     exts = [extent_of(rho, profile) for rho in dg.rotations]
     bags = []
     for i in range(1, n + 1):
         bags.append(frozenset(rho.id + 1 for rho, e in zip(dg.rotations, exts) if e.lo <= i <= e.hi))
-    x = to_nice(dg.dag(), PathDecomposition(tuple(bags)))
-    return dg, x
+    return to_nice(dg.dag(), PathDecomposition(tuple(bags)))
 
 
 def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecomposition]:

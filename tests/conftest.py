@@ -135,6 +135,19 @@ def corrupt_bags(rng, g: Dag, bags: list[frozenset[int]]) -> list[frozenset[int]
     return bags
 
 
+def merge_runs(rng, bags: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The bags with runs of one to three consecutive bags replaced by their
+    union. A valid decomposition stays valid, but in general not nice.
+    """
+    out = []
+    i = 0
+    while i < len(bags):
+        j = i + rng.randint(1, 3)
+        out.append(frozenset().union(*bags[i:j]))
+        i = j
+    return out
+
+
 def stable_matchings_by_permutation_scan(inst: Instance) -> list[Matching]:
     """Oracle independent of the rotation machinery: filter every perfect
     matching by the blocking-pair predicate. Complete square instances only.

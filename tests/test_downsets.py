@@ -21,7 +21,7 @@ from smposet import (
 )
 from smposet.posets import reachable_from
 
-from conftest import corrupt_bags, random_dag, random_nice_bags
+from conftest import corrupt_bags, merge_runs, random_dag, random_nice_bags
 
 
 def nice_for(g: Dag) -> PathDecomposition:
@@ -51,11 +51,26 @@ def test_count_matches_bruteforce_on_random_dags():
         assert count_downsets(g, nice_for(g)) == expected
 
 
-def test_count_rejects_non_nice():
-    g = Dag(2, [(1, 2)])
-    x = PathDecomposition.of([{1, 2}])
-    with pytest.raises(ValidationError, match="nice"):
-        count_downsets(g, x)
+def test_count_accepts_valid_non_nice():
+    # the DP expands any valid decomposition into the steps to_nice gives, so
+    # the counts are right and seeded draws are the same draws
+    assert count_downsets(Dag(2, [(1, 2)]), PathDecomposition.of([{1, 2}])) == 3
+    rng = random.Random(151)
+    non_nice = 0
+    for _ in range(60):
+        g = random_dag(rng, rng.randint(0, 8), rng.choice([0.2, 0.4, 0.6]))
+        _w, x = pathwidth_exact_tiny(g)
+        x = PathDecomposition(tuple(merge_runs(rng, list(x.bags))))
+        assert validate_decomposition(g, x)
+        non_nice += not x.is_nice
+        assert count_downsets(g, x) == len(enumerate_downsets_bruteforce(g))
+        s = rng.randrange(10**6)
+        nice = to_nice(g, x)
+        assert sample_downsets(g, x, random.Random(s), 20) == sample_downsets(
+            g, nice, random.Random(s), 20
+        )
+        assert downset_marginals(g, x) == downset_marginals(g, nice)
+    assert non_nice > 40
 
 
 def test_count_rejects_invalid():
@@ -66,10 +81,13 @@ def test_count_rejects_invalid():
 
 
 def test_dp_rejects_exactly_what_the_checks_reject():
-    # the one-pass checks inside the DP against is_nice and
-    # validate_decomposition, on nice decompositions with random corruptions
+    # the one-pass checks inside the DP against validate_decomposition alone,
+    # on nice decompositions with random corruptions; each case is also tried
+    # with runs of its bags merged (valid stays valid, but is no longer nice)
+    # or with a value added to a bag that is no vertex or only equals one
     rng = random.Random(139)
-    rejected = accepted = 0
+    vary = random.Random(149)
+    rejected = accepted = accepted_non_nice = 0
     for _ in range(2000):
         p = rng.randint(0, 7)
         names = rng.sample(range(1, p + 1), p)
@@ -78,32 +96,46 @@ def test_dp_rejects_exactly_what_the_checks_reject():
         bags = random_nice_bags(rng, g)
         for _ in range(rng.randint(0, 2)):
             bags = corrupt_bags(rng, g, bags)
-        x = PathDecomposition(tuple(bags))
-        calls = (
-            lambda: count_downsets(g, x, max_width=30),
-            lambda: sample_downsets(g, x, random.Random(1), 3, max_width=30),
-            lambda: downset_marginals(g, x),
-        )
-        if not (x.is_nice and validate_decomposition(g, x)):
-            rejected += 1
-            for call in calls:
-                with pytest.raises(ValidationError):
-                    call()
-            continue
-        accepted += 1
-        downsets = enumerate_downsets_bruteforce(g)
-        count, draws, (total, marginals) = (call() for call in calls)
-        assert count == total == len(downsets)
-        assert all(z in downsets for z in draws)
-        assert marginals == {v: sum(v in z for z in downsets) for v in g.vertices()}
-    assert rejected > 500 and accepted > 500
+        if vary.random() < 0.5:
+            variant = merge_runs(vary, bags)
+        else:
+            variant = list(bags) or [frozenset()]
+            i = vary.randrange(len(variant))
+            variant[i] = variant[i] | {vary.choice(["a", 1.5, -1, 2.0, True])}
+        for x in (PathDecomposition(tuple(bags)), PathDecomposition(tuple(variant))):
+            calls = (
+                lambda: count_downsets(g, x, max_width=30),
+                lambda: sample_downsets(g, x, random.Random(1), 3, max_width=30),
+                lambda: downset_marginals(g, x),
+            )
+            if not validate_decomposition(g, x):
+                rejected += 1
+                for call in calls:
+                    with pytest.raises(ValidationError):
+                        call()
+                continue
+            accepted += 1
+            accepted_non_nice += not x.is_nice
+            downsets = enumerate_downsets_bruteforce(g)
+            count, draws, (total, marginals) = (call() for call in calls)
+            assert count == total == len(downsets)
+            assert all(z in downsets for z in draws)
+            assert marginals == {v: sum(v in z for z in downsets) for v in g.vertices()}
+    assert rejected > 500 and accepted > 500 and accepted_non_nice > 300
 
 
 def test_count_width_cap():
     g = Dag(6, [])
-    x = to_nice(g, PathDecomposition.of([set(range(1, 7))]))
+    x = PathDecomposition.of([set(range(1, 7))])
+    for y in (x, to_nice(g, x)):
+        with pytest.raises(CapExceededError, match="bag size 6 exceeds width cap 4"):
+            count_downsets(g, y, max_width=4)
+    # a wide bag is refused at its first insert, before any table is built
+    from smposet.downsets import _dp
+
+    steps = _dp(x.bags, g.in_adj, g.out_adj, 4)
     with pytest.raises(CapExceededError):
-        count_downsets(g, x, max_width=4)
+        next(steps)
 
 
 def test_descendants_chain():
@@ -198,21 +230,25 @@ def test_sample_downsets_same_seed_same_draws():
 
 
 def test_table_consistency_at_every_prefix():
-    # after i steps the table total equals the downset count of the seen part
-    from smposet.downsets import _count_over_bags
+    # after i bags the table total equals the downset count of the seen part;
+    # the DP gets the adjacency of the seen part alone, so every vertex it
+    # knows has been inserted when the prefix ends
+    from smposet.downsets import _dp
 
     rng = random.Random(137)
     for _ in range(10):
         g = random_dag(rng, rng.randint(1, 8))
         x = nice_for(g)
         for cut in range(len(x.bags) + 1):
-            closing = list(x.bags[:cut])
-            seen = set().union(*closing) if closing else set()
-            for v in sorted(closing[-1] if closing else ()):
-                closing.append(frozenset(closing[-1] - {v}))
+            prefix = x.bags[:cut]
+            seen = frozenset().union(*prefix)
             sub = Dag(g.p, {(u, v) for u, v in g.edges if u in seen and v in seen})
             expected = len(
                 [z for z in enumerate_downsets_bruteforce(sub) if z <= seen]
             )
-            got = _count_over_bags(tuple(closing), g.in_adj, g.out_adj, 30)
-            assert got == expected
+            in_adj = {v: sub.in_adj[v] for v in seen}
+            out_adj = {v: sub.out_adj[v] for v in seen}
+            table = {0: 1}
+            for _v, _vbit, _inserted, table in _dp(prefix, in_adj, out_adj, 30):
+                pass
+            assert sum(table.values()) == expected

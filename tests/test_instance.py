@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,143 @@ def test_parse_reports_offending_agents():
     text = "SM 2 2\nm1: w1 w2\nm2: w1\nw1: m1 m2\nw2: m2\n"
     with pytest.raises(ParseError, match="w2.*m2|m2.*w2"):
         parse_instance(text)
+
+
+def _two_pass_validate(men_prefs, women_prefs, men_labels, women_labels):
+    """The list checks of an Instance as they were written before the rank
+    dicts were built inside them: membership sets in one pass, rank dicts in
+    two more. Returns the first error message and the rank dicts.
+    """
+    n_men, n_women = len(men_prefs), len(women_prefs)
+    if len(men_labels) != n_men or len(women_labels) != n_women:
+        return "label count does not match agent count", None
+    for side, labels in ((MAN, men_labels), (WOMAN, women_labels)):
+        if len(set(labels)) != len(labels):
+            return f"duplicate label on side {side!r}", None
+    men_sets = []
+    listed_by = [0] * n_women
+    for m, lst in enumerate(men_prefs):
+        s = set(lst)
+        if len(s) != len(lst):
+            return f"duplicate entry in {men_labels[m]}'s list", None
+        for w in lst:
+            if not 0 <= w < n_women:
+                return f"{men_labels[m]} ranks unknown woman {w}", None
+            listed_by[w] += 1
+        men_sets.append(s)
+    for w, lst in enumerate(women_prefs):
+        s = set(lst)
+        if len(s) != len(lst):
+            return f"duplicate entry in {women_labels[w]}'s list", None
+        for m in lst:
+            if not 0 <= m < n_men:
+                return f"{women_labels[w]} ranks unknown man {m}", None
+            if w not in men_sets[m]:
+                return (
+                    f"inconsistent lists: {women_labels[w]} ranks "
+                    f"{men_labels[m]} but not vice versa"
+                ), None
+        if listed_by[w] == len(lst):
+            continue
+        for m in range(n_men):
+            if w in men_sets[m] and m not in s:
+                return (
+                    f"inconsistent lists: {men_labels[m]} ranks "
+                    f"{women_labels[w]} but not vice versa"
+                ), None
+    ranks = (
+        tuple({w: r + 1 for r, w in enumerate(lst)} for lst in men_prefs),
+        tuple({m: r + 1 for r, m in enumerate(lst)} for lst in women_prefs),
+    )
+    return None, ranks
+
+
+def _random_list_pair(rng):
+    """Consistent lists over a random acceptability graph, then up to two
+    random faults: a repeated entry, an entry out of range, an entry dropped
+    from or added to one side, or a repeated or missing label.
+    """
+    n_men, n_women = rng.randint(0, 4), rng.randint(0, 4)
+    men = [[] for _ in range(n_men)]
+    women = [[] for _ in range(n_women)]
+    for m in range(n_men):
+        for w in range(n_women):
+            if rng.random() < 0.6:
+                men[m].append(w)
+                women[w].append(m)
+    for lst in men + women:
+        rng.shuffle(lst)
+    men_labels = [f"m{i + 1}" for i in range(n_men)]
+    women_labels = [f"w{i + 1}" for i in range(n_women)]
+    for _ in range(rng.randint(0, 2)):
+        lists, n_other = rng.choice([(men, n_women), (women, n_men)])
+        if not lists:
+            continue
+        lst = rng.choice(lists)
+        kind = rng.randrange(5)
+        if kind == 0 and lst:
+            lst.insert(rng.randint(0, len(lst)), rng.choice(lst))
+        elif kind == 1:
+            lst.insert(rng.randint(0, len(lst)), rng.choice([-1, n_other, n_other + 2]))
+        elif kind == 2 and lst:
+            del lst[rng.randrange(len(lst))]
+        elif kind == 3 and n_other:
+            lst.insert(rng.randint(0, len(lst)), rng.randrange(n_other))
+        elif kind == 4:
+            labels = rng.choice([men_labels, women_labels])
+            if len(labels) >= 2:
+                labels[1] = labels[0]
+            elif labels:
+                labels.pop()
+    return men, women, men_labels, women_labels
+
+
+def test_validation_messages_match_the_two_pass_checks():
+    # built directly and parsed from text, every outcome of the one-pass
+    # checks matches the two-pass reference word for word
+    rng = random.Random(163)
+    seen = set()
+    for _ in range(3000):
+        men, women, men_labels, women_labels = _random_list_pair(rng)
+        expected, ranks = _two_pass_validate(men, women, men_labels, women_labels)
+        seen.add(expected and re.sub(r"-?\d+", "#", expected))
+        try:
+            inst = Instance(men, women, men_labels, women_labels)
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert (inst.men_rank, inst.women_rank) == ranks
+        if len(men_labels) != len(men) or len(women_labels) != len(women):
+            continue
+        if len(set(men_labels)) != len(men) or len(set(women_labels)) != len(women):
+            continue
+        if any(not 0 <= w < len(women) for lst in men for w in lst):
+            continue
+        if any(not 0 <= m < len(men) for lst in women for m in lst):
+            continue
+        lines = [f"SM {len(men)} {len(women)}"]
+        lines += [f"{a}: " + " ".join(women_labels[w] for w in lst) for a, lst in zip(men_labels, men)]
+        lines += [f"{a}: " + " ".join(men_labels[m] for m in lst) for a, lst in zip(women_labels, women)]
+        try:
+            inst = parse_instance("\n".join(lines) + "\n")
+        except ParseError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert (inst.men_rank, inst.women_rank) == ranks
+    assert seen == {
+        None,
+        "label count does not match agent count",
+        "duplicate label on side 'm'",
+        "duplicate label on side 'w'",
+        "duplicate entry in m#'s list",
+        "duplicate entry in w#'s list",
+        "m# ranks unknown woman #",
+        "w# ranks unknown man #",
+        "inconsistent lists: w# ranks m# but not vice versa",
+        "inconsistent lists: m# ranks w# but not vice versa",
+    }
 
 
 def test_format_round_trip(example_instance):
