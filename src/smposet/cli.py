@@ -10,6 +10,7 @@ import random
 import sys
 from pathlib import Path
 
+from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
 from .instance import (
     Instance,
@@ -25,7 +26,7 @@ from .posets import (
     parse_dag,
 )
 from .pathdecomp import (
-    _extent_decomposition,
+    _extent_bags,
     format_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
@@ -70,16 +71,13 @@ def _print_matching(inst: Instance, mu: Matching, out) -> None:
 
 
 def _load_coloring(path: str, g: Dag) -> dict[tuple[int, int], int]:
+    """Edge colors from a file of ``u v c`` lines, one for each edge of g."""
     colors = {}
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for line in _text.lines(_read(path)):
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad coloring line: {line!r}")
         try:
-            u, v, c = (int(t) for t in parts)
+            u, v, c = map(int, line.split())  # a count other than 3 also raises
         except ValueError:
             raise ParseError(f"bad coloring line: {line!r}") from None
         colors[(u, v)] = c
@@ -151,7 +149,7 @@ def _cmd_analyze(args) -> int:
     dg = rotation_digraph(inst)
     if inst.is_complete:
         profile = compute_range(inst)
-        x = _extent_decomposition(inst, dg, profile)
+        x = to_nice(dg.dag(), _extent_bags(inst, dg, profile))
     print(f"men {inst.n_men} women {inst.n_women} complete {'yes' if inst.is_complete else 'no'}")
     print(f"rotations {len(dg.rotations)}")
     for rho in dg.rotations:

@@ -23,6 +23,8 @@ from .pathdecomp import PathDecomposition
 from .posets import Dag
 
 HARD_WIDTH_CAP = 30
+# an insert can double the table, so it is refused when twice it would pass this
+MAX_STATES = 1 << 20
 
 
 def _dp(
@@ -40,7 +42,8 @@ def _dp(
     leave in sorted order and then inserts the vertices that enter in sorted
     order, as `to_nice` does. Raises ValidationError at the first step that
     is not valid for the graph, and after the pass if a vertex of the graph
-    was never inserted.
+    was never inserted. Raises CapExceededError at an insert into a bag
+    wider than max_width, or one whose table could pass MAX_STATES.
     """
     table: dict[int, int] = {0: 1}
     slot: dict[int, int] = {}
@@ -66,6 +69,10 @@ def _dp(
                 if len(bag) > max_width + 1:
                     raise CapExceededError(
                         f"bag size {len(bag)} exceeds width cap {max_width}"
+                    )
+                if 2 * len(table) > MAX_STATES:
+                    raise CapExceededError(
+                        f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
                     )
                 s = free.pop() if free else len(slot)
                 slot[v] = s

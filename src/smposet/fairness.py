@@ -9,10 +9,10 @@ from typing import Optional
 
 from .errors import CapExceededError, ValidationError
 from .downsets import count_downsets, downset_marginals, sample_downsets
-from .instance import Instance, Matching
-from .pathdecomp import construct_path_decomposition
-from .posets import enumerate_downsets_bruteforce
-from .rotations import matching_from_downset, rotation_digraph
+from .instance import Instance, Matching, compute_range
+from .pathdecomp import PathDecomposition, _extent_bags
+from .posets import Dag, enumerate_downsets_bruteforce
+from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,21 @@ class FairnessScores:
         )
 
 
+def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, PathDecomposition]:
+    """The rotation digraph of a complete instance, its DAG, and its extent
+    bags, which the DP expands and checks itself.
+    """
+    dg = rotation_digraph(inst)
+    x = _extent_bags(inst, dg, compute_range(inst))
+    return dg, dg.dag(), x
+
+
 def count_stable_matchings(inst: Instance) -> int:
     """Exact count via the rotation digraph's extent decomposition and the
     pathwidth DP; FPT in the range of the instance.
     """
-    dg, x = construct_path_decomposition(inst)
-    return count_downsets(dg.dag(), x)
+    _dg, g, x = _prepare(inst)
+    return count_downsets(g, x)
 
 
 def sample_stable_matchings(
@@ -57,10 +66,10 @@ def sample_stable_matchings(
     """Exactly uniform draws from the stable matchings of inst. The digraph,
     decomposition and DP tables are computed once and reused across draws.
     """
-    dg, x = construct_path_decomposition(inst)
+    dg, g, x = _prepare(inst)
     return [
         matching_from_downset(inst, dg, {v - 1 for v in zs})
-        for zs in sample_downsets(dg.dag(), x, rng, draws)
+        for zs in sample_downsets(g, x, rng, draws)
     ]
 
 
@@ -70,8 +79,8 @@ def sample_stable_matching(inst: Instance, rng: random.Random) -> Matching:
 
 def median_and_count(inst: Instance, upper: bool = False) -> tuple[Matching, int]:
     """median_stable_matching and the number of stable matchings."""
-    dg, x = construct_path_decomposition(inst)
-    total, marginals = downset_marginals(dg.dag(), x)
+    dg, g, x = _prepare(inst)
+    total, marginals = downset_marginals(g, x)
     if total % 2 == 1:
         threshold = (total + 1) // 2
     else:

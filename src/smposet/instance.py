@@ -3,7 +3,7 @@ range/minrank computation, and symmetric shortlists.
 
 Agents are identified by (side, index) with 0-based indices internally; the
 file format and display labels are 1-based (``m1``, ``w3``) or construction
-labels (``m[c,v]``).
+labels (``m[c,v]``). The file's comments, blank lines and header follow `_text`.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import _text
 from .errors import ParseError, ValidationError
 
 MAN = "m"
@@ -193,65 +194,48 @@ def parse_instance(text: str) -> Instance:
     """Parse the line-oriented instance file format.
 
     Header ``SM <nMen> <nWomen>``, then one line per man and one per woman in
-    index order: ``<name>: <space-separated opposite-side names>``. ``#``
-    starts a comment. Names are free-form tokens without whitespace or ':'.
+    index order: ``<name>: <space-separated opposite-side names>``. Names are
+    free-form tokens without whitespace or ':'.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ParseError("empty instance file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "SM":
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        n_men, n_women = int(header[1]), int(header[2])
-    except ValueError:
-        raise ParseError(f"bad header counts: {lines[0]!r}") from None
+    (n_men, n_women), body = _text.header(text, "SM", 2, "instance")
     if n_men < 0 or n_women < 0:
         raise ParseError("negative agent count")
-    body = lines[1:]
-    if len(body) != n_men + n_women:
-        raise ParseError(
-            f"expected {n_men + n_women} agent lines, found {len(body)}"
-        )
-
-    def split_line(line: str) -> tuple[str, list[str]]:
-        if ":" not in line:
+    found = len(body) - body.count("")
+    if found != n_men + n_women:
+        raise ParseError(f"expected {n_men + n_women} agent lines, found {found}")
+    labels: list[str] = []
+    tokens: list[list[str]] = []
+    for line in body:
+        if not line:
+            continue
+        name, colon, rest = line.partition(":")
+        if not colon:
             raise ParseError(f"missing ':' in line {line!r}")
-        name, rest = line.split(":", 1)
         name = name.strip()
         if not name:
             raise ParseError(f"missing agent name in line {line!r}")
-        return name, rest.split()
-
-    men_lines = [split_line(line) for line in body[:n_men]]
-    women_lines = [split_line(line) for line in body[n_men:]]
-    for name, _ in men_lines:
+        labels.append(name)
+        tokens.append(rest.split())
+    men_labels, women_labels = labels[:n_men], labels[n_men:]
+    for name in men_labels:
         if not name.startswith(MAN):
             raise ParseError(f"expected a man line, got {name!r}")
-    for name, _ in women_lines:
+    for name in women_labels:
         if not name.startswith(WOMAN):
             raise ParseError(f"expected a woman line, got {name!r}")
-    men_labels = [name for name, _ in men_lines]
-    women_labels = [name for name, _ in women_lines]
     man_idx = {name: i for i, name in enumerate(men_labels)}
     woman_idx = {name: i for i, name in enumerate(women_labels)}
     if len(man_idx) != n_men or len(woman_idx) != n_women:
         raise ParseError("duplicate agent name")
-
-    def resolve(tokens: list[str], table: dict[str, int], owner: str) -> list[int]:
+    prefs = []
+    for i, (name, toks) in enumerate(zip(labels, tokens)):
+        table = woman_idx if i < n_men else man_idx
         try:
-            return [table[tok] for tok in tokens]
+            prefs.append([table[tok] for tok in toks])
         except KeyError as exc:
-            raise ParseError(f"{owner} ranks unknown agent {exc.args[0]!r}") from None
-
-    men_prefs = [resolve(toks, woman_idx, name) for name, toks in men_lines]
-    women_prefs = [resolve(toks, man_idx, name) for name, toks in women_lines]
+            raise ParseError(f"{name} ranks unknown agent {exc.args[0]!r}") from None
     try:
-        return Instance(men_prefs, women_prefs, men_labels, women_labels)
+        return Instance(prefs[:n_men], prefs[n_men:], men_labels, women_labels)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 

@@ -1,12 +1,13 @@
 """Path decompositions: validation, nice form, the extent-based
-decomposition of rotation digraphs, and an exact pathwidth solver for tiny
-graphs.
+decomposition of rotation digraphs, an exact pathwidth solver for tiny
+graphs, and the file format, whose comments and header follow `_text`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
 from .instance import Instance, compute_range, RangeProfile
 from .posets import Dag
@@ -136,10 +137,10 @@ def construct_path_decomposition(
     Bags contain rotation ids shifted by +1, matching RotationDigraph.dag().
     """
     dg = rotation_digraph(inst)
-    return dg, _extent_decomposition(inst, dg, compute_range(inst))
+    return dg, to_nice(dg.dag(), _extent_bags(inst, dg, compute_range(inst)))
 
 
-def _extent_decomposition(
+def _extent_bags(
     inst: Instance, dg: RotationDigraph, profile: RangeProfile
 ) -> PathDecomposition:
     # bag i holds the rotations whose extent covers minrank i
@@ -148,7 +149,7 @@ def _extent_decomposition(
     bags = []
     for i in range(1, n + 1):
         bags.append(frozenset(rho.id + 1 for rho, e in zip(dg.rotations, exts) if e.lo <= i <= e.hi))
-    return to_nice(dg.dag(), PathDecomposition(tuple(bags)))
+    return PathDecomposition(tuple(bags))
 
 
 def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecomposition]:
@@ -221,27 +222,10 @@ def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecompositio
 
 def parse_decomposition(text: str) -> PathDecomposition:
     """Parse the decomposition format: ``PD <numBags>`` then one line per bag
-    of space-separated vertex ids; an empty line is an empty bag.
+    of space-separated vertex ids; a blank line is an empty bag.
     """
-    raw_lines = text.splitlines()
-    lines: list[str] = []
-    for raw in raw_lines:
-        if raw.lstrip().startswith("#"):
-            continue
-        lines.append(raw.split("#", 1)[0].rstrip())
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    if not lines:
-        raise ParseError("empty decomposition file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "PD":
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        count = int(header[1])
-    except ValueError:
-        raise ParseError(f"bad header count: {lines[0]!r}") from None
-    body = lines[1:]
-    while len(body) > count and not body[-1].strip():
+    (count,), body = _text.header(text, "PD", 1, "decomposition")
+    while len(body) > count and not body[-1]:
         body.pop()
     if len(body) != count:
         raise ParseError(f"expected {count} bag lines, found {len(body)}")

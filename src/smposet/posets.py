@@ -1,7 +1,8 @@
 """DAGs standing for posets: closure, reduction, downsets, isomorphism, and
 verification that a constructed instance realizes a poset.
 
-Vertices are 1..p throughout, matching the file format.
+Vertices are 1..p throughout, matching the file format, whose comments,
+blank lines and header follow `_text`.
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import re
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
+from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
 
 
@@ -80,23 +82,6 @@ class Dag:
                     stack.append(v)
         if seen != self.p:
             raise ValidationError("graph contains a cycle")
-
-    def topological_order(self) -> list[int]:
-        """Deterministic topological order, smallest available vertex first."""
-        import heapq
-
-        indeg = {v: len(self.in_adj[v]) for v in self.vertices()}
-        heap = [v for v in self.vertices() if indeg[v] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in self.out_adj[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        return order
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dag) and self.p == other.p and self.edges == other.edges
@@ -261,26 +246,15 @@ def check_realization(p_dag: Dag, inst) -> bool:
 
 def parse_dag(text: str) -> Dag:
     """Parse the DAG file format: ``DAG <p> <q>`` then q lines ``u v [color]``."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ParseError("empty DAG file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "DAG":
-        raise ParseError(f"bad header: {lines[0]!r}")
-    try:
-        p, q = int(header[1]), int(header[2])
-    except ValueError:
-        raise ParseError(f"bad header counts: {lines[0]!r}") from None
-    body = lines[1:]
-    if len(body) != q:
-        raise ParseError(f"expected {q} edge lines, found {len(body)}")
+    (p, q), body = _text.header(text, "DAG", 2, "DAG")
+    found = len(body) - body.count("")
+    if found != q:
+        raise ParseError(f"expected {q} edge lines, found {found}")
     edges = []
     colors = {}
     for line in body:
+        if not line:
+            continue
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError(f"bad edge line: {line!r}")

@@ -138,6 +138,18 @@ def test_count_width_cap():
         next(steps)
 
 
+def test_count_state_cap(monkeypatch):
+    # a bag within the width cap whose table would still pass the state cap
+    from smposet import downsets
+
+    monkeypatch.setattr(downsets, "MAX_STATES", 1 << 8)
+    g = Dag(12, [])
+    x = PathDecomposition.of([set(range(1, 13))])
+    with pytest.raises(CapExceededError, match="512 DP states exceed cap 256"):
+        count_downsets(g, x)
+    assert count_downsets(Dag(8, []), PathDecomposition.of([set(range(1, 9))])) == 256
+
+
 def test_descendants_chain():
     g = Dag(3, [(1, 2), (2, 3)])
     assert reachable_from(g, 1) == {1, 2, 3}

@@ -87,9 +87,9 @@ def test_parse_dag_with_colors():
 
 
 def test_parse_dag_bad_inputs():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^expected 2 edge lines, found 1$"):
         parse_dag("DAG 1 2\n1 1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^bad header: 'WRONG 1 0'$"):
         parse_dag("WRONG 1 0\n")
 
 
