@@ -31,6 +31,7 @@ from .pathdecomp import (
     parse_decomposition,
     pathwidth_exact_tiny,
     to_nice,
+    validate_decomposition,
 )
 from .downsets import count_downsets
 from .rotations import all_stable_matchings_bruteforce, rotation_digraph
@@ -71,7 +72,9 @@ def _print_matching(inst: Instance, mu: Matching, out) -> None:
 
 
 def _load_coloring(path: str, g: Dag) -> dict[tuple[int, int], int]:
-    """Edge colors from a file of ``u v c`` lines, one for each edge of g."""
+    """Edge colors from a file of ``u v c`` lines, exactly one for each edge
+    of g.
+    """
     colors = {}
     for line in _text.lines(_read(path)):
         if not line:
@@ -80,6 +83,10 @@ def _load_coloring(path: str, g: Dag) -> dict[tuple[int, int], int]:
             u, v, c = map(int, line.split())  # a count other than 3 also raises
         except ValueError:
             raise ParseError(f"bad coloring line: {line!r}") from None
+        if (u, v) not in g.edges:
+            raise ParseError(f"coloring line for a non-edge: {line!r}")
+        if (u, v) in colors:
+            raise ParseError(f"duplicate coloring line for edge {(u, v)}")
         colors[(u, v)] = c
     for e in g.edges:
         if e not in colors:
@@ -131,10 +138,9 @@ def _cmd_realize(args) -> int:
         if not args.decomp:
             raise ValidationError("--model range requires --decomp")
         x = parse_decomposition(_read(args.decomp))
-        try:
-            x = to_nice(g, x)
-        except ValidationError:
-            raise ValidationError("decomposition is not valid for the poset") from None
+        # here, so that an internal error of realize_range keeps its message
+        if not validate_decomposition(g, x):
+            raise ValidationError("decomposition is not valid for the poset")
         inst = realize_range(g, x)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown model {args.model}")

@@ -3,23 +3,19 @@ downsets of a DAG, all from one table DP (`_dp`) over a path decomposition.
 Counting keeps no tables; sampling and marginals keep the table before each
 forget step and walk the steps backward over them.
 
-The DP reads any bag sequence and expands it into nice steps itself, each
-inserting or forgetting one vertex. The decomposition is checked inside that
-one pass, in O(1) per step plus the neighbour lookups the table update does
-anyway. An inserted vertex is a vertex of g that was not inserted before,
-and its seen neighbours are in its bag; after the pass every vertex of g has
-been inserted. A bag sequence passes exactly when it is a valid path
-decomposition of g.
+The DP reads any bag sequence: `pathdecomp._nice_steps` expands it into
+nice steps, each inserting or forgetting one vertex, and checks it in the
+same pass, so the DP raises ValidationError exactly when the sequence is not
+a valid path decomposition of g.
 
 Counts are plain Python ints, so they are exact at any size.
 """
 from __future__ import annotations
 
 import random
-from itertools import chain
 
 from .errors import CapExceededError, ValidationError
-from .pathdecomp import PathDecomposition
+from .pathdecomp import PathDecomposition, _nice_steps
 from .posets import Dag
 
 HARD_WIDTH_CAP = 30
@@ -33,85 +29,36 @@ def _dp(
     out_adj: dict[int, tuple[int, ...]],
     max_width: int,
 ):
-    """The table update loop. Yields (v, vbit, inserted, table) per nice
-    step: the vertex, its slot bit, whether it was inserted, and the new
-    table. A table maps a bitmask over bag slots to the number of downsets of
-    the seen subgraph that intersect the bag exactly there.
-
-    Between two bags, and after the last one, it forgets the vertices that
-    leave in sorted order and then inserts the vertices that enter in sorted
-    order, as `to_nice` does. Raises ValidationError at the first step that
-    is not valid for the graph, and after the pass if a vertex of the graph
-    was never inserted. Raises CapExceededError at an insert into a bag
-    wider than max_width, or one whose table could pass MAX_STATES.
+    """The table update loop over the steps of `_nice_steps`, which checks
+    the decomposition. Yields (v, vbit, inserted, table) per step: the
+    vertex, its slot bit, whether it was inserted, and the new table. A table
+    maps a bitmask over bag slots to the number of downsets of the seen
+    subgraph that intersect the bag exactly there. Raises CapExceededError
+    at an insert into a bag wider than max_width, or one whose table could
+    pass MAX_STATES.
     """
     table: dict[int, int] = {0: 1}
-    slot: dict[int, int] = {}
-    free: list[int] = []
-    seen: set[int] = set()
-    prev: frozenset[int] = frozenset()
-    for bag in chain(bags, (frozenset(),)):
-        delta = bag ^ prev
-        if len(delta) > 1:
-            # before sorting, so that a bag holding "a" is not a TypeError
-            if not in_adj.keys() >= delta:
-                raise ValidationError("decomposition is not valid for this graph")
-            delta = sorted(prev - bag) + sorted(bag - prev)
-        prev = bag
-        for v in delta:
-            inserted = v not in slot
-            if inserted:
-                if v not in in_adj:
-                    raise ValidationError("decomposition is not valid for this graph")
-                if v in seen:
-                    raise ValidationError("invalid decomposition: vertex inserted twice")
-                # at the first insert of a wide bag, before its table grows
-                if len(bag) > max_width + 1:
-                    raise CapExceededError(
-                        f"bag size {len(bag)} exceeds width cap {max_width}"
-                    )
-                if 2 * len(table) > MAX_STATES:
-                    raise CapExceededError(
-                        f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
-                    )
-                s = free.pop() if free else len(slot)
-                slot[v] = s
-                vbit = 1 << s
-                umask = 0
-                for u in in_adj[v]:
-                    if u in seen:
-                        if u not in slot:
-                            raise ValidationError(
-                                "invalid decomposition: seen in-neighbor outside bag"
-                            )
-                        umask |= 1 << slot[u]
-                wmask = 0
-                for w in out_adj[v]:
-                    if w in seen:
-                        if w not in slot:
-                            raise ValidationError(
-                                "invalid decomposition: seen out-neighbor outside bag"
-                            )
-                        wmask |= 1 << slot[w]
-                seen.add(v)
-                new: dict[int, int] = {}
-                for a, c in table.items():
-                    if not a & wmask:
-                        new[a] = c
-                    if a & umask == umask:
-                        new[a | vbit] = new.get(a | vbit, 0) + c
-            else:
-                s = slot.pop(v)
-                free.append(s)
-                vbit = 1 << s
-                new = {}
-                for a, c in table.items():
-                    key = a & ~vbit
-                    new[key] = new.get(key, 0) + c
-            table = new
-            yield v, vbit, inserted, table
-    if len(seen) != len(in_adj):
-        raise ValidationError("invalid decomposition: a vertex is in no bag")
+    for v, vbit, size, umask, wmask in _nice_steps(bags, in_adj, out_adj):
+        new: dict[int, int] = {}
+        if size:
+            # at the first insert of a wide bag, before its table grows
+            if size > max_width + 1:
+                raise CapExceededError(f"bag size {size} exceeds width cap {max_width}")
+            if 2 * len(table) > MAX_STATES:
+                raise CapExceededError(
+                    f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
+                )
+            for a, c in table.items():
+                if not a & wmask:
+                    new[a] = c
+                if a & umask == umask:
+                    new[a | vbit] = new.get(a | vbit, 0) + c
+        else:
+            for a, c in table.items():
+                key = a & ~vbit
+                new[key] = new.get(key, 0) + c
+        table = new
+        yield v, vbit, bool(size), table
 
 
 def count_downsets(g: Dag, x: PathDecomposition, max_width: int = HARD_WIDTH_CAP) -> int:

@@ -1,10 +1,15 @@
 """Path decompositions: validation, nice form, the extent-based
 decomposition of rotation digraphs, an exact pathwidth solver for tiny
 graphs, and the file format, whose comments and header follow `_text`.
+
+`_nice_steps` is the one place that expands a bag sequence into nice steps
+and decides whether it is valid for a graph; validation, nice form, the
+downset DP and `realize_range` all walk its steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from . import _text
@@ -47,70 +52,101 @@ class PathDecomposition:
             prev = bag
         return not prev if self.bags else True
 
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.bags:
-            out |= b
-        return frozenset(out)
-
     def __len__(self) -> int:
         return len(self.bags)
 
 
-def validate_decomposition(g: Dag, x: PathDecomposition) -> bool:
-    """Check the three path decomposition conditions against the undirected
-    version of g: vertex coverage, edge coverage, and convexity.
+def _nice_steps(
+    bags: Iterable[frozenset[int]],
+    in_adj: dict[int, tuple[int, ...]],
+    out_adj: dict[int, tuple[int, ...]],
+):
+    """Expand a bag sequence into nice steps for the graph with adjacency
+    in_adj / out_adj, checking it as it goes.
 
-    One pass over the bags records where each vertex enters and leaves; a
-    vertex that enters a second time breaks convexity. Time is linear in the
-    total bag size plus the edge count.
+    Between two bags, and after the last one, the vertices that leave are
+    forgotten in sorted order and then the vertices that enter are inserted
+    in sorted order. Each vertex holds a slot while it is in the bag; a freed
+    slot is reused by the next insert. Yields (v, vbit, size, umask, wmask)
+    per step: the vertex, its slot bit, the bag size for an insert (0 for a
+    forget), and the slot masks of its seen in- and out-neighbours.
+
+    The sequence is valid for the graph exactly when every inserted vertex is
+    a vertex of the graph not inserted before, its seen neighbours are in its
+    bag, and every vertex is inserted by the end. Raises ValidationError at
+    the first step that breaks this, or after the last step.
     """
-    verts = frozenset(g.vertices())
-    first = [-1] * (g.p + 1)
-    last = [-1] * (g.p + 1)
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    seen: set[int] = set()
     prev: frozenset[int] = frozenset()
-    for i, bag in enumerate(x.bags):
-        if not bag <= verts:
-            return False
-        # int(): a bag may hold a value equal to a vertex, such as 2.0
-        for v in map(int, bag - prev):
-            if first[v] >= 0:
-                return False
-            first[v] = i
-        for v in map(int, prev - bag):
-            last[v] = i - 1
+    for bag in chain(bags, (frozenset(),)):
+        delta = bag ^ prev
+        if len(delta) > 1:
+            # before sorting, so that a bag holding "a" is not a TypeError
+            if not in_adj.keys() >= delta:
+                raise ValidationError("decomposition is not valid for this graph")
+            delta = sorted(prev - bag) + sorted(bag - prev)
         prev = bag
-    for v in map(int, prev):
-        last[v] = len(x.bags) - 1
-    if -1 in first[1:]:
+        for v in delta:
+            if v in slot:
+                s = slot.pop(v)
+                free.append(s)
+                yield v, 1 << s, 0, 0, 0
+                continue
+            if v not in in_adj:
+                raise ValidationError("decomposition is not valid for this graph")
+            if v in seen:
+                raise ValidationError("invalid decomposition: vertex inserted twice")
+            umask = 0
+            for u in in_adj[v]:
+                if u in seen:
+                    if u not in slot:
+                        raise ValidationError(
+                            "invalid decomposition: seen in-neighbor outside bag"
+                        )
+                    umask |= 1 << slot[u]
+            wmask = 0
+            for w in out_adj[v]:
+                if w in seen:
+                    if w not in slot:
+                        raise ValidationError(
+                            "invalid decomposition: seen out-neighbor outside bag"
+                        )
+                    wmask |= 1 << slot[w]
+            s = free.pop() if free else len(slot)
+            slot[v] = s
+            seen.add(v)
+            yield v, 1 << s, len(bag), umask, wmask
+    if len(seen) != len(in_adj):
+        raise ValidationError("invalid decomposition: a vertex is in no bag")
+
+
+def validate_decomposition(g: Dag, x: PathDecomposition) -> bool:
+    """Whether x is a path decomposition of the undirected version of g:
+    every vertex covered, every edge covered, and each vertex's bags
+    consecutive. Runs `_nice_steps` to the end, in time linear in the total
+    bag size plus the edge count, plus sorting each change between bags.
+    """
+    try:
+        for _step in _nice_steps(x.bags, g.in_adj, g.out_adj):
+            pass
+    except ValidationError:
         return False
-    for u, v in g.edges:
-        if first[u] > last[v] or first[v] > last[u]:
-            return False
     return True
 
 
-def _nice_bags(bags: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Split transitions into single removals (first) then single insertions."""
-    out: list[frozenset[int]] = []
-    cur: set[int] = set()
-    for target in list(bags) + [frozenset()]:
-        for v in sorted(cur - target):
-            cur.discard(v)
-            out.append(frozenset(cur))
-        for v in sorted(target - cur):
-            cur.add(v)
-            out.append(frozenset(cur))
-    return tuple(out)
-
-
 def to_nice(g: Dag, x: PathDecomposition) -> PathDecomposition:
-    """Nice decomposition of equal width and length exactly 2n."""
-    if not validate_decomposition(g, x):
-        raise ValidationError("invalid path decomposition")
-    nice = PathDecomposition(_nice_bags(x.bags))
-    assert nice.is_nice and len(nice) == 2 * len(x.vertices())
-    return nice
+    """Nice decomposition of equal width and length exactly 2n: the bag
+    after each step of `_nice_steps`. Raises ValidationError unless x is
+    valid for g.
+    """
+    bags = []
+    bag: frozenset[int] = frozenset()
+    for v, _vbit, size, _umask, _wmask in _nice_steps(x.bags, g.in_adj, g.out_adj):
+        bag = bag | {v} if size else bag - {v}
+        bags.append(bag)
+    return PathDecomposition(tuple(bags))
 
 
 @dataclass(frozen=True)

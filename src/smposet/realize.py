@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .instance import Instance, complete_preferences, symmetric_shortlists
-from .pathdecomp import PathDecomposition, validate_decomposition
+from .pathdecomp import PathDecomposition, _nice_steps
 from .posets import Dag
 
 
@@ -390,27 +390,24 @@ def realize_list2inf(h: Dag, master_side: str = "m") -> ListRealization:
 
 def realize_range(h: Dag, x: PathDecomposition) -> Instance:
     """Complete instance of range at most 9(k+2) realizing h's closure, for k
-    the width of the nice path decomposition x of h (2p bags).
+    the width of x, any valid path decomposition of h.
 
-    Colors are bag indices: an edge gets the first bag holding both ends, a
-    vertex the interval [a_v, b_v + 1] of its bag range, ordered bitonically.
-    Lists are completed outward in whole blocks.
+    Colors are bag indices of the nice form of x (`to_nice`), whose bag i
+    follows step i of `_nice_steps`: an edge gets the first bag holding both
+    ends, a vertex the interval [a_v, b_v + 1] of its bag range, ordered
+    bitonically. Lists are completed outward in whole blocks.
     """
-    p = h.p
-    if p == 0:
-        return Instance([], [])
-    if not x.is_nice:
-        raise ValidationError("decomposition must be nice")
-    if not validate_decomposition(h, x):
-        raise ValidationError("decomposition is not valid for this poset")
-    if len(x.bags) != 2 * p:
-        raise ValidationError("nice decomposition must have 2p bags")
     first: dict[int, int] = {}
     last: dict[int, int] = {}
-    for i, bag in enumerate(x.bags, start=1):
-        for v in bag:
-            first.setdefault(v, i)
-            last[v] = i
+    try:
+        steps = _nice_steps(x.bags, h.in_adj, h.out_adj)
+        for i, (v, _vbit, size, _umask, _wmask) in enumerate(steps, start=1):
+            if size:
+                first[v] = i
+            else:
+                last[v] = i - 1
+    except ValidationError:
+        raise ValidationError("decomposition is not valid for this poset") from None
     # the first bag holding both ends: bag ranges are convex and overlap
     phi = {(u, v): max(first[u], first[v]) for u, v in h.edges}
     csets = {v: tuple(range(first[v], last[v] + 2)) for v in h.vertices()}

@@ -25,7 +25,6 @@ class Rotation:
 
     id: int
     pairs: tuple[tuple[int, int], ...]
-    label: Optional[str] = None
 
     def __post_init__(self):
         if len(self.pairs) < 2:
@@ -36,10 +35,10 @@ class Rotation:
             raise ValidationError("rotation agents must be distinct")
 
     @staticmethod
-    def canonical(pairs: Iterable[tuple[int, int]], id: int = -1, label=None) -> "Rotation":
+    def canonical(pairs: Iterable[tuple[int, int]], id: int = -1) -> "Rotation":
         ps = list(pairs)
         start = min(range(len(ps)), key=lambda i: ps[i][0])
-        return Rotation(id, tuple(ps[start:] + ps[:start]), label)
+        return Rotation(id, tuple(ps[start:] + ps[:start]))
 
     def men(self) -> tuple[int, ...]:
         return tuple(m for m, _ in self.pairs)

@@ -2,7 +2,8 @@ import shutil
 
 import pytest
 
-from smposet import check_realization, parse_dag, parse_instance
+from smposet import ValidationError, check_realization, parse_dag, parse_instance
+from smposet import cli
 from smposet.cli import main
 
 from conftest import DATA
@@ -97,6 +98,28 @@ def test_realize_generic_with_coloring_matches_bounded3(workdir, capsys):
     assert plain.read_text() == colored.read_text()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("4 5 1\n", "coloring line for a non-edge: '4 5 1'"),
+        ("1 2 5\n", "duplicate coloring line for edge (1, 2)"),
+    ],
+)
+def test_realize_coloring_rejects_stray_lines(workdir, capsys, extra, message):
+    coloring = workdir / "stray.txt"
+    coloring.write_text((workdir / "diamond_colored.txt").read_text() + extra)
+    out_path = workdir / "colored.sm"
+    code, out, err = run(
+        capsys,
+        "realize", "--model", "generic",
+        "--poset", workdir / "diamond.dag",
+        "--coloring", coloring,
+        "-o", out_path,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_realize_range_needs_decomp(workdir, capsys):
     code, _, err = run(
         capsys,
@@ -122,6 +145,23 @@ def test_realize_range_with_decomp(workdir, capsys):
         capsys, "verify", "--poset", workdir / "diamond.dag", "--instance", out_path
     )
     assert code == 0 and out.strip() == "ok"
+
+
+def test_realize_range_keeps_internal_errors(workdir, capsys, monkeypatch):
+    # only an invalid decomposition is reported as one
+    def fail(g, x):
+        raise ValidationError("internal error: completion changed the shortlists")
+
+    monkeypatch.setattr(cli, "realize_range", fail)
+    code, out, err = run(
+        capsys,
+        "realize", "--model", "range",
+        "--poset", workdir / "diamond.dag",
+        "--decomp", workdir / "diamond.pd",
+        "-o", workdir / "range.sm",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: internal error: completion changed the shortlists\n"
 
 
 def test_realize_sidecars(workdir, capsys):

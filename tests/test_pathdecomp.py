@@ -10,6 +10,8 @@ from smposet import (
     ValidationError,
     compute_range,
     construct_path_decomposition,
+    count_downsets,
+    enumerate_downsets_bruteforce,
     extent_of,
     format_decomposition,
     parse_decomposition,
@@ -106,8 +108,20 @@ def test_validate_matches_rescan_reference():
             bags[i] = bags[i] | {rng.choice(["a", 1.5, -1, 2.0, True])}
         x = PathDecomposition(tuple(bags))
         expected = _validate_by_rescan(g, x)
-        assert validate_decomposition(g, x) is expected, (g.p, sorted(g.edges), bags)
+        case = (g.p, sorted(g.edges), bags)
+        assert validate_decomposition(g, x) is expected, case
         outcomes.add(expected)
+        # the DP and to_nice walk the same steps; the rescan shares no code
+        if not expected:
+            with pytest.raises(ValidationError):
+                count_downsets(g, x)
+            with pytest.raises(ValidationError):
+                to_nice(g, x)
+            continue
+        assert count_downsets(g, x) == len(enumerate_downsets_bruteforce(g)), case
+        nice = to_nice(g, x)
+        assert nice.is_nice and nice.width == x.width, case
+        assert len(nice) == 2 * g.p and _validate_by_rescan(g, nice), case
     assert outcomes == {True, False}
 
 

@@ -2,9 +2,10 @@
 each held their own copy of the comment, blank-line and header rules, before
 those rules moved to `smposet._text`. On seeded, mutated texts of each format
 the reader must return the same object, or raise the same exception type
-with the same message. One difference is allowed, in the decomposition
-format only: a message that quotes a line now quotes it without its leading
-whitespace.
+with the same message. Two differences are allowed. In the decomposition
+format, a message that quotes a line now quotes it without its leading
+whitespace. In the coloring format, a line for a pair that is not an edge,
+or a second line for an edge, is now refused where the reference read on.
 """
 from __future__ import annotations
 
@@ -417,6 +418,7 @@ def test_coloring_reader_matches_reference(tmp_path):
     rng = random.Random(704)
     path = str(tmp_path / "coloring.txt")
     seen = set()
+    refused = set()
     for _ in range(CASES):
         p, edges = _random_dag(rng)
         g = Dag(p, edges)
@@ -424,6 +426,29 @@ def test_coloring_reader_matches_reference(tmp_path):
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(_text(rng, lines, INTS, header=False))
         expected = _outcome(parent_load_coloring, path, g)
-        assert _outcome(_load_coloring, path, g) == expected, _read(path)
+        got = _outcome(_load_coloring, path, g)
         seen.add(_kind(expected))
+        if got == expected:
+            continue
+        text = _read(path)
+        assert isinstance(got, tuple) and got[0] is ParseError, text
+        kind = _kind(got)
+        refused.add(kind)
+        if kind == "coloring line for a non-edge: Q":
+            u, v, _c = map(int, ast.literal_eval(got[1].split(": ", 1)[1]).split())
+            assert (u, v) not in g.edges, text
+        else:
+            assert kind == "duplicate coloring line for edge Q", text
+            pair = ast.literal_eval(got[1].split("edge ", 1)[1])
+            named = []
+            for line in text.splitlines():
+                try:
+                    named.append(tuple(map(int, line.split("#", 1)[0].split()[:2])))
+                except ValueError:
+                    pass
+            assert named.count(pair) >= 2, text
     assert seen >= {None, "bad coloring line: Q", "coloring file misses edge Q"}
+    assert refused == {
+        "coloring line for a non-edge: Q",
+        "duplicate coloring line for edge Q",
+    }

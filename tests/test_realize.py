@@ -11,6 +11,7 @@ from smposet import (
     ValidationError,
     all_stable_matchings_bruteforce,
     AttributeProfile,
+    Instance,
     bitonic_sequence,
     check_realization,
     compute_range,
@@ -28,9 +29,10 @@ from smposet import (
     rotation_digraph,
     to_nice,
     transitive_reduction,
+    validate_decomposition,
 )
 
-from conftest import data_text, posets_upto_isomorphism, random_dag
+from conftest import corrupt_bags, data_text, posets_upto_isomorphism, random_dag
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 DIAMOND_LIST = Dag(4, [(4, 2), (4, 3), (2, 1), (3, 1)])
@@ -420,9 +422,33 @@ def test_realize_range_single_vertex():
     assert check_realization(g, inst)
 
 
-def test_realize_range_requires_nice():
-    with pytest.raises(ValidationError):
-        realize_range(DIAMOND, PathDecomposition.of([{1, 2, 3, 4}]))
+def test_realize_range_accepts_any_valid_decomposition():
+    # colors are bag indices of the nice form, so a valid decomposition that
+    # is not nice gives the instance its nice form gives
+    rng = random.Random(199)
+    non_nice = rejected = 0
+    for _ in range(16):
+        g = random_dag(rng, rng.randint(1, 6))
+        _w, x = pathwidth_exact_tiny(g)
+        non_nice += not x.is_nice
+        assert realize_range(g, x) == realize_range(g, to_nice(g, x))
+        bad = PathDecomposition(tuple(corrupt_bags(rng, g, list(x.bags))))
+        if not validate_decomposition(g, bad):
+            rejected += 1
+            with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+                realize_range(g, bad)
+    assert non_nice > 8 and rejected > 6
+    inst = realize_range(DIAMOND, PathDecomposition.of([{1, 2, 3, 4}]))
+    assert inst == realize_range(DIAMOND, to_nice(DIAMOND, PathDecomposition.of([{1, 2, 3, 4}])))
+    assert check_realization(DIAMOND, inst)
+    with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+        realize_range(DIAMOND, PathDecomposition.of([{1, 2, 3}, {4}]))
+
+
+def test_realize_range_empty_poset():
+    assert realize_range(Dag(0, []), PathDecomposition(())) == Instance([], [])
+    with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+        realize_range(Dag(0, []), PathDecomposition.of([{1}]))
 
 
 def test_realize_range_diamond_range_bound():
