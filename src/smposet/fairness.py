@@ -10,8 +10,8 @@ from typing import Optional
 from .errors import CapExceededError, ValidationError
 from .downsets import count_downsets, downset_marginals, sample_downsets
 from .instance import Instance, Matching, compute_range
-from .pathdecomp import PathDecomposition, _extent_bags
-from .posets import Dag, enumerate_downsets_bruteforce
+from .pathdecomp import PathDecomposition, _extent_order, _layout_bags
+from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
 
@@ -44,17 +44,30 @@ class FairnessScores:
 
 
 def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, PathDecomposition]:
-    """The rotation digraph of a complete instance, its DAG, and its extent
-    bags, which the DP expands and checks itself.
+    """The rotation digraph of inst, the transitive reduction of its DAG,
+    which has the same downsets, and a vertex-separation decomposition of
+    the reduction, which the DP expands and checks itself.
+
+    The decomposition is cut along rotation-id order, a linear extension.
+    On a complete instance it is also cut along the order of the rotations'
+    extent lower ends, then ids, and the narrower cut is kept (id order on a
+    tie). A vertex in that cut's bag i has an extent covering the lower end
+    of the i-th rotation, since every edge joins overlapping extents, so its
+    width is at most that of the extent decomposition, 50 k^2 for range k.
     """
     dg = rotation_digraph(inst)
-    x = _extent_bags(inst, dg, compute_range(inst))
-    return dg, dg.dag(), x
+    g = transitive_reduction(dg.dag())
+    x = _layout_bags(g, g.vertices())
+    if inst.is_complete:
+        y = _layout_bags(g, _extent_order(dg, compute_range(inst)))
+        if y.width < x.width:
+            x = y
+    return dg, g, x
 
 
 def count_stable_matchings(inst: Instance) -> int:
-    """Exact count via the rotation digraph's extent decomposition and the
-    pathwidth DP; FPT in the range of the instance.
+    """Exact count by the downset DP over the decomposition of `_prepare`,
+    in time exponential only in its width.
     """
     _dg, g, x = _prepare(inst)
     return count_downsets(g, x)
@@ -98,13 +111,12 @@ def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
 
 
 def _optimize(inst: Instance, key_name: str, max_matchings: int):
-    dg = rotation_digraph(inst)
-    d = dg.dag()
-    downsets = enumerate_downsets_bruteforce(d, max_p=d.p)
-    if len(downsets) > max_matchings:
-        raise CapExceededError(
-            f"{len(downsets)} stable matchings exceed cap {max_matchings}"
-        )
+    # count first: listing 2^p downsets would never return
+    dg, g, x = _prepare(inst)
+    total = count_downsets(g, x)
+    if total > max_matchings:
+        raise CapExceededError(f"{total} stable matchings exceed cap {max_matchings}")
+    downsets = enumerate_downsets_bruteforce(g, max_p=g.p)
     best: Optional[tuple] = None
     for zs in downsets:
         ids = tuple(sorted(v - 1 for v in zs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
@@ -188,6 +188,36 @@ def _extent_bags(
     return PathDecomposition(tuple(bags))
 
 
+def _extent_order(dg: RotationDigraph, profile: RangeProfile) -> list[int]:
+    """The DAG vertices of dg (rotation id + 1) ordered by the lower end of
+    their rotation's extent, then by id.
+    """
+    lo = [extent_of(rho, profile).lo for rho in dg.rotations]
+    return sorted(range(1, len(lo) + 1), key=lambda v: (lo[v - 1], v))
+
+
+def _layout_bags(g: Dag, layout: Sequence[int]) -> PathDecomposition:
+    """The vertex-separation decomposition of g along layout, an order of
+    all its vertices: bag i holds the i-th vertex and every earlier vertex
+    with a neighbour at position i or later. Its width is the vertex
+    separation number of the layout, and the pathwidth of g for the best
+    layout (Kinnersley 1992).
+    """
+    pos = {v: i for i, v in enumerate(layout)}
+    # the vertices whose last bag is bag i
+    leave: list[list[int]] = [[] for _ in layout]
+    for v, i in pos.items():
+        last = max((pos[u] for u in chain(g.in_adj[v], g.out_adj[v])), default=i)
+        leave[max(i, last)].append(v)
+    bags = []
+    bag: set[int] = set()
+    for i, v in enumerate(layout):
+        bag.add(v)
+        bags.append(frozenset(bag))
+        bag.difference_update(leave[i])
+    return PathDecomposition(tuple(bags))
+
+
 def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecomposition]:
     """Optimal pathwidth via the vertex separation number, by dynamic
     programming over vertex subsets. Exhaustive; capped.
@@ -238,18 +268,7 @@ def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecompositio
         layout.append(low.bit_length())
         mask ^= low
     layout.reverse()
-    # bag_i holds v_i plus every earlier vertex with a neighbor at position >= i
-    bags = []
-    for i, v in enumerate(layout):
-        later = 0
-        for x in layout[i:]:
-            later |= 1 << (x - 1)
-        bag = {v}
-        for u in layout[:i]:
-            if nbr[u] & later:
-                bag.add(u)
-        bags.append(frozenset(bag))
-    x = PathDecomposition(tuple(bags))
+    x = _layout_bags(g, layout)
     if not validate_decomposition(g, x):
         raise ValidationError("internal error: layout decomposition invalid")
     assert x.width == f[full]

@@ -64,24 +64,10 @@ class Dag:
         # the sort is stable, so tails stay ascending within each head
         by_head = sorted(edge_list, key=itemgetter(1))
         self.in_adj = _adjacency(self.p, ((v, u) for u, v in by_head))
-        self._check_acyclic()
+        _topological_order(self)  # raises on a cycle
 
     def vertices(self) -> range:
         return range(1, self.p + 1)
-
-    def _check_acyclic(self) -> None:
-        indeg = {v: len(self.in_adj[v]) for v in self.vertices()}
-        stack = [v for v in self.vertices() if indeg[v] == 0]
-        seen = 0
-        while stack:
-            u = stack.pop()
-            seen += 1
-            for v in self.out_adj[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    stack.append(v)
-        if seen != self.p:
-            raise ValidationError("graph contains a cycle")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Dag) and self.p == other.p and self.edges == other.edges
@@ -91,6 +77,25 @@ class Dag:
 
     def __repr__(self) -> str:
         return f"Dag(p={self.p}, q={len(self.edges)})"
+
+
+def _topological_order(g: Dag) -> list[int]:
+    """The vertices of g in a topological order (Kahn); raises
+    ValidationError if g has a cycle.
+    """
+    indeg = {v: len(g.in_adj[v]) for v in g.vertices()}
+    stack = [v for v in g.vertices() if indeg[v] == 0]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in g.out_adj[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    if len(order) != g.p:
+        raise ValidationError("graph contains a cycle")
+    return order
 
 
 def reachable_from(g: Dag, v: int) -> set[int]:
@@ -116,12 +121,25 @@ def transitive_closure(g: Dag) -> Dag:
 
 
 def transitive_reduction(g: Dag) -> Dag:
-    """The unique minimal edge set with the same closure (unique for DAGs)."""
-    closure_sets = {v: reachable_from(g, v) - {v} for v in g.vertices()}
-    edges = set()
-    for u, v in g.edges:
-        if not any(v in closure_sets[w] for w in closure_sets[u] if w != v):
-            edges.add((u, v))
+    """The unique minimal edge set with the same closure (unique for DAGs).
+
+    Vertices are visited in reverse topological order, each with the bitset
+    of the vertices it reaches. A vertex's successors are taken in
+    topological order, and the edge to one is kept only if no earlier
+    successor reaches it; a later successor cannot. Each kept edge costs one
+    OR of p-bit ints.
+    """
+    order = _topological_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    reach = [0] * (g.p + 1)  # bit v set: v is reached, itself included
+    edges = []
+    for u in reversed(order):
+        r = 0
+        for v in sorted(g.out_adj[u], key=pos.__getitem__):
+            if not r >> v & 1:
+                edges.append((u, v))
+                r |= reach[v]
+        reach[u] = r | 1 << u
     return Dag(g.p, edges)
 
 

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from smposet import Dag, Instance, Matching, blocking_pairs, transitive_closure
+from smposet import (
+    Dag,
+    Instance,
+    Matching,
+    PathDecomposition,
+    blocking_pairs,
+    transitive_closure,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -133,6 +140,32 @@ def corrupt_bags(rng, g: Dag, bags: list[frozenset[int]]) -> list[frozenset[int]
         i = rng.randrange(len(bags))
         bags[i] = bags[i] | {rng.randint(0, g.p + 1)}
     return bags
+
+
+def validate_by_rescan(g: Dag, x: PathDecomposition) -> bool:
+    """Oracle for decomposition validity that shares no code with
+    `pathdecomp._nice_steps`: the earlier validate_decomposition, which
+    rescans each vertex's bag span to prove convexity.
+    """
+    verts = set(g.vertices())
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, bag in enumerate(x.bags):
+        for v in bag:
+            if v not in verts:
+                return False
+            first.setdefault(v, i)
+            last[v] = i
+    if set(first) != verts:
+        return False
+    for v, lo in first.items():
+        hi = last[v]
+        if any(v not in x.bags[i] for i in range(lo, hi + 1)):
+            return False
+    for u, v in g.edges:
+        if max(first[u], first[v]) > min(last[u], last[v]):
+            return False
+    return True
 
 
 def merge_runs(rng, bags: list[frozenset[int]]) -> list[frozenset[int]]:

@@ -354,3 +354,18 @@ def test_invalid_decomposition_messages(workdir, capsys, bags):
     )
     assert (code, out, err) == (2, "", "error: decomposition is not valid for the poset\n")
     assert not out_path.exists()
+
+
+def test_count_median_sample_on_incomplete_instance(capsys):
+    # the bounded3 realization of the diamond: six stable matchings
+    path = DATA / "golden_list_incomplete.sm"
+    inst = parse_instance(path.read_text())
+    assert not inst.is_complete
+    code, out, err = run(capsys, "count", "--instance", path)
+    assert (code, out, err) == (0, "6\n", "")
+    code, out, err = run(capsys, "median", "--instance", path)
+    assert code == 0 and err == "" and out.endswith("N 6\n")
+    assert len(out.splitlines()) == inst.n_men + 1
+    code, out, err = run(capsys, "sample", "--instance", path, "--seed", "3", "--draws", "4")
+    assert code == 0 and err == ""
+    assert len(out.split("\n\n")) == 4

@@ -21,7 +21,13 @@ from smposet import (
 )
 from smposet.posets import reachable_from
 
-from conftest import corrupt_bags, merge_runs, random_dag, random_nice_bags
+from conftest import (
+    corrupt_bags,
+    merge_runs,
+    random_dag,
+    random_nice_bags,
+    validate_by_rescan,
+)
 
 
 def nice_for(g: Dag) -> PathDecomposition:
@@ -81,10 +87,12 @@ def test_count_rejects_invalid():
 
 
 def test_dp_rejects_exactly_what_the_checks_reject():
-    # the one-pass checks inside the DP against validate_decomposition alone,
-    # on nice decompositions with random corruptions; each case is also tried
-    # with runs of its bags merged (valid stays valid, but is no longer nice)
-    # or with a value added to a bag that is no vertex or only equals one
+    # the one-pass checks inside the DP against the rescan oracle, which
+    # shares no code with the nice-step walker that the DP and
+    # validate_decomposition both run, on nice decompositions with random
+    # corruptions; each case is also tried with runs of its bags merged
+    # (valid stays valid, but is no longer nice) or with a value added to a
+    # bag that is no vertex or only equals one
     rng = random.Random(139)
     vary = random.Random(149)
     rejected = accepted = accepted_non_nice = 0
@@ -108,7 +116,7 @@ def test_dp_rejects_exactly_what_the_checks_reject():
                 lambda: sample_downsets(g, x, random.Random(1), 3, max_width=30),
                 lambda: downset_marginals(g, x),
             )
-            if not validate_decomposition(g, x):
+            if not validate_by_rescan(g, x):
                 rejected += 1
                 for call in calls:
                     with pytest.raises(ValidationError):

@@ -7,23 +7,44 @@ from smposet import (
     MAN,
     WOMAN,
     CapExceededError,
+    Dag,
     FairnessScores,
     Instance,
     Matching,
     all_stable_matchings_bruteforce,
     balanced_bruteforce,
     blocking_pairs,
+    construct_instance,
     count_stable_matchings,
     downset_from_matching,
+    enumerate_downsets_bruteforce,
     gale_shapley,
+    median_and_count,
     median_stable_matching,
+    parse_instance,
+    pathwidth_exact_tiny,
+    realize_attr6,
+    realize_bounded3,
+    realize_complete,
+    realize_list2inf,
+    realize_range,
     rotation_digraph,
     sample_stable_matching,
     sample_stable_matchings,
     sex_equal_bruteforce,
+    to_nice,
+    validate_decomposition,
 )
+from smposet.fairness import _prepare
 
-from conftest import random_complete_instance
+from conftest import (
+    data_text,
+    posets_upto_isomorphism,
+    random_complete_instance,
+    random_dag,
+    random_incomplete_instance,
+    stable_matchings_by_matching_scan,
+)
 
 MU1 = Matching([(0, 1), (1, 0), (2, 2), (3, 3)])
 
@@ -122,8 +143,6 @@ def test_median_gives_median_partners():
 
 
 def test_median_matches_bruteforce_characterization():
-    from smposet import enumerate_downsets_bruteforce
-
     rng = random.Random(227)
     for _ in range(20):
         inst = random_complete_instance(rng, 6)
@@ -196,8 +215,133 @@ def test_fair_matches_exhaustive_scan():
 
 def test_fair_cap():
     # antichain of 21 rotations would need 2^21 downsets
-    from smposet import Dag, realize_complete
-
     inst = realize_complete(Dag(5, []))
     with pytest.raises(CapExceededError):
         sex_equal_bruteforce(inst, max_matchings=10)
+
+
+def test_fair_cap_fires_before_listing(monkeypatch):
+    # 2^40 downsets: the DP counts them, and none is ever listed
+    from smposet import fairness
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("downsets listed before the cap check")
+
+    monkeypatch.setattr(fairness, "enumerate_downsets_bruteforce", refuse)
+    inst = realize_complete(Dag(40, []))
+    for optimize in (sex_equal_bruteforce, balanced_bruteforce):
+        with pytest.raises(
+            CapExceededError, match=f"^{2**40} stable matchings exceed cap {10**6}$"
+        ):
+            optimize(inst)
+
+
+def _median_by_scan(inst, matchings, upper=False):
+    """The median from the stable matchings alone (Teo & Sethuraman 1998):
+    each matched man gets his k-th best partner over all N matchings, where
+    k = N - t + 1 for the threshold t that median_stable_matching keeps a
+    rotation at.
+    """
+    n = len(matchings)
+    if n % 2:
+        t = (n + 1) // 2
+    else:
+        t = n // 2 if upper else n // 2 + 1
+    pairs = []
+    for m in range(inst.n_men):
+        ws = [mu.woman_of(m) for mu in matchings if mu.woman_of(m) is not None]
+        if ws:
+            pairs.append((m, sorted(ws, key=lambda w: inst.men_rank[m][w])[n - t]))
+    return Matching(pairs)
+
+
+def _check_against_scan(inst):
+    matchings = stable_matchings_by_matching_scan(inst)
+    dg, g, x = _prepare(inst)
+    assert validate_decomposition(g, x)
+    assert count_stable_matchings(inst) == len(matchings)
+    for upper in (False, True):
+        mu, total = median_and_count(inst, upper)
+        assert total == len(matchings)
+        assert mu == _median_by_scan(inst, matchings, upper)
+    return len(matchings)
+
+
+def test_count_and_median_on_random_incomplete_instances():
+    rng = random.Random(239)
+    incomplete = 0
+    for _ in range(60):
+        inst = random_incomplete_instance(
+            rng, rng.randint(1, 6), rng.randint(1, 6), rng.choice([0.3, 0.6, 0.85])
+        )
+        incomplete += not inst.is_complete
+        _check_against_scan(inst)
+    assert incomplete > 40
+
+
+def _realizations(g):
+    yield "complete", realize_complete(g)
+    yield "bounded3", realize_bounded3(g)
+    yield "list2inf", realize_list2inf(g).instance
+    yield "attr6", realize_attr6(g).instance
+    yield "range", realize_range(g, to_nice(g, pathwidth_exact_tiny(g)[1]))
+    yield "generic", construct_instance(g)
+
+
+def test_count_and_median_on_every_realize_model():
+    # the matching scan wherever it is cheap: every poset on at most 3
+    # elements, and random posets on 4 for the short-list models; otherwise
+    # the realized poset's downsets, which the instance has by construction
+    rng = random.Random(241)
+    posets = [g for p in range(4) for g in posets_upto_isomorphism(p)]
+    posets += [random_dag(rng, p, 0.4) for p in (4, 4, 5, 6)]
+    scanned = set()
+    for g in posets:
+        downsets = len(enumerate_downsets_bruteforce(g))
+        for model, inst in _realizations(g):
+            n = max(inst.n_men, inst.n_women)
+            if n <= 6 or (n <= 8 and not inst.is_complete):
+                assert _check_against_scan(inst) == downsets, (model, g)
+                scanned.add(model)
+            assert count_stable_matchings(inst) == downsets, (model, g)
+            assert median_and_count(inst)[1] == downsets, (model, g)
+    assert scanned == {"complete", "bounded3", "list2inf", "attr6", "range", "generic"}
+
+
+def test_median_on_incomplete_matches_downset_characterization():
+    rng = random.Random(251)
+    for _ in range(20):
+        g = random_dag(rng, rng.randint(1, 8), 0.3)
+        for inst in (realize_bounded3(g), construct_instance(g)):
+            assert not inst.is_complete or g.p == 1
+            dg = rotation_digraph(inst)
+            downsets = enumerate_downsets_bruteforce(dg.dag())
+            n = len(downsets)
+            threshold = (n + 1) // 2 if n % 2 else n // 2 + 1
+            expected = {
+                rho.id
+                for rho in dg.rotations
+                if sum(1 for z in downsets if rho.id + 1 in z) >= threshold
+            }
+            mu, total = median_and_count(inst)
+            assert total == n
+            assert downset_from_matching(inst, dg, mu) == expected
+
+
+def test_sample_frequencies_incomplete_instance():
+    inst = parse_instance(data_text("golden_list_incomplete.sm"))
+    assert not inst.is_complete
+    expected = {mu.sorted_pairs() for mu in stable_matchings_by_matching_scan(inst)}
+    draws = 24000
+    counts = Counter(
+        mu.sorted_pairs()
+        for mu in sample_stable_matchings(inst, random.Random(20240817), draws)
+    )
+    assert set(counts) == expected and len(expected) == 6
+    p = 1 / 6
+    sigma = (draws * p * (1 - p)) ** 0.5
+    for v in counts.values():
+        assert abs(v - draws * p) <= 4 * sigma
+    tv = sum(abs(v / draws - p) for v in counts.values()) / 2
+    assert tv < 0.02
+

@@ -18,9 +18,12 @@ from smposet import (
     pathwidth_exact_tiny,
     rotation_digraph,
     to_nice,
+    transitive_reduction,
     validate_decomposition,
 )
 from smposet.instance import Instance
+from smposet.fairness import _prepare
+from smposet.pathdecomp import _extent_bags, _extent_order, _layout_bags
 
 from conftest import (
     corrupt_bags,
@@ -28,6 +31,7 @@ from conftest import (
     random_complete_instance,
     random_dag,
     random_nice_bags,
+    validate_by_rescan,
 )
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
@@ -58,31 +62,6 @@ def test_convexity_violation_detected():
     assert not validate_decomposition(Dag(2, [(1, 2)]), x)
 
 
-def _validate_by_rescan(g: Dag, x: PathDecomposition) -> bool:
-    """Reference: the earlier validate_decomposition, which rescans each
-    vertex's bag span to prove convexity.
-    """
-    verts = set(g.vertices())
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, bag in enumerate(x.bags):
-        for v in bag:
-            if v not in verts:
-                return False
-            first.setdefault(v, i)
-            last[v] = i
-    if set(first) != verts:
-        return False
-    for v, lo in first.items():
-        hi = last[v]
-        if any(v not in x.bags[i] for i in range(lo, hi + 1)):
-            return False
-    for u, v in g.edges:
-        if max(first[u], first[v]) > min(last[u], last[v]):
-            return False
-    return True
-
-
 def test_validate_matches_rescan_reference():
     rng = random.Random(113)
     outcomes = set()
@@ -107,7 +86,7 @@ def test_validate_matches_rescan_reference():
             i = rng.randrange(len(bags))
             bags[i] = bags[i] | {rng.choice(["a", 1.5, -1, 2.0, True])}
         x = PathDecomposition(tuple(bags))
-        expected = _validate_by_rescan(g, x)
+        expected = validate_by_rescan(g, x)
         case = (g.p, sorted(g.edges), bags)
         assert validate_decomposition(g, x) is expected, case
         outcomes.add(expected)
@@ -121,7 +100,7 @@ def test_validate_matches_rescan_reference():
         assert count_downsets(g, x) == len(enumerate_downsets_bruteforce(g)), case
         nice = to_nice(g, x)
         assert nice.is_nice and nice.width == x.width, case
-        assert len(nice) == 2 * g.p and _validate_by_rescan(g, nice), case
+        assert len(nice) == 2 * g.p and validate_by_rescan(g, nice), case
     assert outcomes == {True, False}
 
 
@@ -301,3 +280,56 @@ def test_interval_property_of_bags():
                 positions.setdefault(v, []).append(i)
         for v, idxs in positions.items():
             assert idxs == list(range(idxs[0], idxs[-1] + 1))
+
+
+def _layout_bags_reference(g: Dag, layout: list[int]) -> list[frozenset[int]]:
+    """The loop pathwidth_exact_tiny held inline before `_layout_bags`."""
+    nbr = [0] * (g.p + 1)
+    for u, v in g.edges:
+        nbr[u] |= 1 << (v - 1)
+        nbr[v] |= 1 << (u - 1)
+    # bag_i holds v_i plus every earlier vertex with a neighbor at position >= i
+    bags = []
+    for i, v in enumerate(layout):
+        later = 0
+        for x in layout[i:]:
+            later |= 1 << (x - 1)
+        bag = {v}
+        for u in layout[:i]:
+            if nbr[u] & later:
+                bag.add(u)
+        bags.append(frozenset(bag))
+    return bags
+
+
+def test_layout_bags_match_reference():
+    rng = random.Random(163)
+    for _ in range(300):
+        p = rng.randint(0, 12)
+        g = random_dag(rng, p, rng.choice([0.1, 0.3, 0.6]))
+        layout = rng.sample(list(g.vertices()), p)
+        x = _layout_bags(g, layout)
+        assert list(x.bags) == _layout_bags_reference(g, layout)
+        assert validate_by_rescan(g, x)
+
+
+def test_extent_order_cut_no_wider_than_extent_bags():
+    # every edge joins overlapping extents, so a vertex in bag i of the cut
+    # covers the extent lower end of the i-th vertex: the cut is never
+    # wider, and the cut the DP runs on is never wider than it
+    rng = random.Random(167)
+    widths = set()
+    for _ in range(60):
+        inst = random_complete_instance(rng, rng.randint(2, 40))
+        dg = rotation_digraph(inst)
+        profile = compute_range(inst)
+        extent_width = _extent_bags(inst, dg, profile).width
+        reduced = transitive_reduction(dg.dag())
+        for g in (dg.dag(), reduced):
+            x = _layout_bags(g, _extent_order(dg, profile))
+            assert validate_by_rescan(g, x)
+            assert x.width <= extent_width
+        _dg, g, y = _prepare(inst)
+        assert g == reduced and validate_by_rescan(g, y) and y.width <= x.width
+        widths.add(extent_width)
+    assert max(widths) > 10

@@ -15,6 +15,7 @@ from smposet import (
     poset_isomorphic_small,
     realize_bounded3,
     realize_complete,
+    rotation_digraph,
     transitive_closure,
     transitive_reduction,
 )
@@ -24,6 +25,7 @@ from conftest import (
     data_text,
     downsets_by_subset_scan,
     posets_upto_isomorphism,
+    random_complete_instance,
     random_dag,
 )
 
@@ -130,6 +132,35 @@ def test_reduction_preserves_closure():
         red = transitive_reduction(g)
         assert red.edges <= g.edges
         assert transitive_closure(red) == transitive_closure(g)
+
+
+def _reduction_reference(g: Dag) -> Dag:
+    """The earlier transitive_reduction, kept verbatim as the oracle for the
+    bitset one: an edge (u, v) stays unless another vertex reachable from u
+    reaches v.
+    """
+    closure_sets = {v: reachable_from(g, v) - {v} for v in g.vertices()}
+    edges = set()
+    for u, v in g.edges:
+        if not any(v in closure_sets[w] for w in closure_sets[u] if w != v):
+            edges.add((u, v))
+    return Dag(g.p, edges)
+
+
+def test_reduction_matches_reference():
+    # random DAGs whose ids are not a topological order, and rotation
+    # digraphs, whose many transitive edges the DP's reduction removes
+    rng = random.Random(53)
+    graphs = []
+    for _ in range(300):
+        p = rng.randint(0, 14)
+        base = random_dag(rng, p, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        names = rng.sample(range(1, p + 1), p)
+        graphs.append(Dag(p, [(names[u - 1], names[v - 1]) for u, v in base.edges]))
+    for n in (10, 20, 40, 60):
+        graphs.append(rotation_digraph(random_complete_instance(rng, n)).dag())
+    for g in graphs:
+        assert transitive_reduction(g) == _reduction_reference(g), (g.p, sorted(g.edges))
 
 
 def test_is_downset_chain():
