@@ -3,6 +3,8 @@ restricted preference models, and pathwidth-parameterized exact counting,
 sampling, and fair-matching selection.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import CapExceededError, ParseError, ValidationError
 from .instance import (
     MAN,
@@ -15,7 +17,6 @@ from .instance import (
     compute_range,
     format_instance,
     gale_shapley,
-    is_stable,
     parse_instance,
     symmetric_shortlists,
 )
@@ -34,7 +35,6 @@ from .rotations import (
 from .posets import (
     Dag,
     check_realization,
-    dag_to_dot,
     enumerate_downsets_bruteforce,
     format_dag,
     is_downset,
@@ -57,7 +57,6 @@ from .pathdecomp import (
 from .downsets import (
     count_downsets,
     downset_marginals,
-    sample_downset,
     sample_downsets,
     uniform_int,
 )
@@ -80,10 +79,14 @@ from .fairness import (
     count_stable_matchings,
     median_and_count,
     median_stable_matching,
-    sample_stable_matching,
     sample_stable_matchings,
     sex_equal_bruteforce,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above, but are not exported
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

@@ -18,6 +18,9 @@ from .errors import CapExceededError, ValidationError
 from .pathdecomp import PathDecomposition, _nice_steps
 from .posets import Dag
 
+# A wide bag is refused even when its table stays small: a width-3 ladder
+# given as one bag of n vertices has n+1 states, but each of its 2n steps
+# updates them all with n-bit masks, so MAX_STATES alone never stops it.
 HARD_WIDTH_CAP = 30
 # an insert can double the table, so it is refused when twice it would pass this
 MAX_STATES = 1 << 20
@@ -27,23 +30,23 @@ def _dp(
     bags: tuple[frozenset[int], ...],
     in_adj: dict[int, tuple[int, ...]],
     out_adj: dict[int, tuple[int, ...]],
-    max_width: int,
 ):
     """The table update loop over the steps of `_nice_steps`, which checks
     the decomposition. Yields (v, vbit, inserted, table) per step: the
     vertex, its slot bit, whether it was inserted, and the new table. A table
     maps a bitmask over bag slots to the number of downsets of the seen
     subgraph that intersect the bag exactly there. Raises CapExceededError
-    at an insert into a bag wider than max_width, or one whose table could
-    pass MAX_STATES.
+    at an insert into a bag wider than HARD_WIDTH_CAP, or one whose table
+    could pass MAX_STATES.
     """
+    width_cap = HARD_WIDTH_CAP
     table: dict[int, int] = {0: 1}
     for v, vbit, size, umask, wmask in _nice_steps(bags, in_adj, out_adj):
         new: dict[int, int] = {}
         if size:
             # at the first insert of a wide bag, before its table grows
-            if size > max_width + 1:
-                raise CapExceededError(f"bag size {size} exceeds width cap {max_width}")
+            if size > width_cap + 1:
+                raise CapExceededError(f"bag size {size} exceeds width cap {width_cap}")
             if 2 * len(table) > MAX_STATES:
                 raise CapExceededError(
                     f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
@@ -61,26 +64,27 @@ def _dp(
         yield v, vbit, bool(size), table
 
 
-def count_downsets(g: Dag, x: PathDecomposition, max_width: int = HARD_WIDTH_CAP) -> int:
+def count_downsets(g: Dag, x: PathDecomposition) -> int:
     """Number of downsets of g, computed over any valid path decomposition in
     time O(2^w w n) for width w. The same pass checks the decomposition and
     raises ValidationError unless it is valid for g; a bag wider than
-    max_width raises CapExceededError when the pass reaches it, before any
-    fault in a later step is seen.
+    HARD_WIDTH_CAP, or a table that could pass MAX_STATES, raises
+    CapExceededError when the pass reaches it, before any fault in a later
+    step is seen.
     """
     table = {0: 1}
-    for _v, _vbit, _inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
+    for _v, _vbit, _inserted, table in _dp(x.bags, g.in_adj, g.out_adj):
         pass
     return sum(table.values())
 
 
-def _forward(g: Dag, x: PathDecomposition, max_width: int):
+def _forward(g: Dag, x: PathDecomposition):
     """The steps of the forward pass, each with the table before it if it is
     a forget step, and the downset count.
     """
     steps = []
     before = {0: 1}
-    for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj, max_width):
+    for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj):
         steps.append((v, vbit, inserted, None if inserted else before))
         before = table
     return steps, sum(before.values())
@@ -100,21 +104,17 @@ def uniform_int(rng: random.Random, n: int) -> int:
 
 
 def sample_downsets(
-    g: Dag,
-    x: PathDecomposition,
-    rng: random.Random,
-    draws: int,
-    max_width: int = HARD_WIDTH_CAP,
+    g: Dag, x: PathDecomposition, rng: random.Random, draws: int
 ) -> list[frozenset[int]]:
-    """Downsets of g drawn independently and exactly uniformly. Each draw
-    walks the steps backward from the empty final bag; at a forget step the
-    vertex is kept with probability (stored count of the state with its bit
-    set) / (sum of the stored counts with and without it), by one
-    `uniform_int`.
+    """Downsets of g drawn independently and exactly uniformly, after one
+    forward pass with the caps of `count_downsets`. Each draw walks the
+    steps backward from the empty final bag; at a forget step the vertex is
+    kept with probability (stored count of the state with its bit set) /
+    (sum of the stored counts with and without it), by one `uniform_int`.
     """
     if draws < 1:
         raise ValidationError(f"draws must be positive, got {draws}")
-    steps, _total = _forward(g, x, max_width)
+    steps, _total = _forward(g, x)
     out = []
     for _ in range(draws):
         a = 0
@@ -131,23 +131,13 @@ def sample_downsets(
     return out
 
 
-def sample_downset(
-    g: Dag,
-    x: PathDecomposition,
-    rng: random.Random,
-    max_width: int = HARD_WIDTH_CAP,
-) -> frozenset[int]:
-    """One downset of g drawn exactly uniformly among all downsets."""
-    return sample_downsets(g, x, rng, 1, max_width)[0]
-
-
 def downset_marginals(g: Dag, x: PathDecomposition) -> tuple[int, dict[int, int]]:
     """The number of downsets of g, and for each vertex the number of them
     that contain it. The backward pass counts the completions of each state
     the forward pass reached; such a state has one predecessor at an insert
     step, so no edge checks are needed.
     """
-    steps, total = _forward(g, x, HARD_WIDTH_CAP)
+    steps, total = _forward(g, x)
     after = {0: 1}
     marginals = {}
     for v, vbit, inserted, before in reversed(steps):

@@ -14,6 +14,9 @@ from .pathdecomp import PathDecomposition, _extent_order, _layout_bags
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
+# brute-force `fair` lists every stable matching, so it refuses more than this
+MAX_MATCHINGS = 10**6
+
 
 @dataclass(frozen=True)
 class FairnessScores:
@@ -86,10 +89,6 @@ def sample_stable_matchings(
     ]
 
 
-def sample_stable_matching(inst: Instance, rng: random.Random) -> Matching:
-    return sample_stable_matchings(inst, rng, 1)[0]
-
-
 def median_and_count(inst: Instance, upper: bool = False) -> tuple[Matching, int]:
     """median_stable_matching and the number of stable matchings."""
     dg, g, x = _prepare(inst)
@@ -110,12 +109,12 @@ def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
     return median_and_count(inst, upper)[0]
 
 
-def _optimize(inst: Instance, key_name: str, max_matchings: int):
+def _optimize(inst: Instance, key_name: str):
     # count first: listing 2^p downsets would never return
     dg, g, x = _prepare(inst)
     total = count_downsets(g, x)
-    if total > max_matchings:
-        raise CapExceededError(f"{total} stable matchings exceed cap {max_matchings}")
+    if total > MAX_MATCHINGS:
+        raise CapExceededError(f"{total} stable matchings exceed cap {MAX_MATCHINGS}")
     downsets = enumerate_downsets_bruteforce(g, max_p=g.p)
     best: Optional[tuple] = None
     for zs in downsets:
@@ -129,17 +128,17 @@ def _optimize(inst: Instance, key_name: str, max_matchings: int):
     return best[1], best[2]
 
 
-def sex_equal_bruteforce(
-    inst: Instance, max_matchings: int = 10**6
-) -> tuple[Matching, FairnessScores]:
+def sex_equal_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
     """Stable matching minimizing |S_M - S_W| by enumerating all downsets;
-    ties broken by the lexicographically least downset.
+    ties broken by the lexicographically least downset. Raises
+    CapExceededError, before listing any, if there are more than
+    MAX_MATCHINGS.
     """
-    return _optimize(inst, "delta", max_matchings)
+    return _optimize(inst, "delta")
 
 
-def balanced_bruteforce(
-    inst: Instance, max_matchings: int = 10**6
-) -> tuple[Matching, FairnessScores]:
-    """Stable matching minimizing max(S_M, S_W), same search as sex-equal."""
-    return _optimize(inst, "beta", max_matchings)
+def balanced_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
+    """Stable matching minimizing max(S_M, S_W), same search and cap as
+    sex-equal.
+    """
+    return _optimize(inst, "beta")

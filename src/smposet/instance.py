@@ -151,18 +151,6 @@ class Instance:
             len(lst) == self.n_men for lst in self.women_prefs
         )
 
-    def man_index(self, label: str) -> int:
-        try:
-            return self.men_labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
-    def woman_index(self, label: str) -> int:
-        try:
-            return self.women_labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Instance)
@@ -314,10 +302,6 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[int, int]]:
             if pw is None or inst.women_rank[w][m] < inst.women_rank[w][pw]:
                 out.append((m, w))
     return out
-
-
-def is_stable(inst: Instance, mu: Matching) -> bool:
-    return not blocking_pairs(inst, mu)
 
 
 def compute_range(inst: Instance) -> RangeProfile:

@@ -305,16 +305,3 @@ def format_dag(g: Dag) -> str:
         else:
             out.append(f"{u} {v}")
     return "\n".join(out) + "\n"
-
-
-def dag_to_dot(g: Dag) -> str:
-    out = ["digraph dag {"]
-    for v in g.vertices():
-        out.append(f"  v{v};")
-    for u, v in sorted(g.edges):
-        if (u, v) in g.colors:
-            out.append(f'  v{u} -> v{v} [label="color={g.colors[(u, v)]}"];')
-        else:
-            out.append(f"  v{u} -> v{v};")
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -292,16 +292,14 @@ class ListRealization:
     """Output of the two-master-list construction.
 
     instance has complete lists: on the master side every list is one of the
-    two masters; the other side keeps its constructed list plus appended
-    leftovers. incomplete is the pre-completion instance.
+    two masters, lm1 and lm2; the other side keeps its constructed list plus
+    appended leftovers. incomplete is the pre-completion instance.
     """
 
     instance: Instance
     incomplete: Instance
     lm1: tuple[int, ...]
     lm2: tuple[int, ...]
-    lw1: tuple[int, ...]
-    lw2: tuple[int, ...]
     man_group: dict[int, int]
     woman_group: dict[int, int]
     master_side: str
@@ -380,8 +378,6 @@ def realize_list2inf(h: Dag, master_side: str = "m") -> ListRealization:
         incomplete=incomplete,
         lm1=master1,
         lm2=master2,
-        lw1=master1,
-        lw2=master2,
         man_group=man_group,
         woman_group=woman_group,
         master_side=master_side,
@@ -390,7 +386,9 @@ def realize_list2inf(h: Dag, master_side: str = "m") -> ListRealization:
 
 def realize_range(h: Dag, x: PathDecomposition) -> Instance:
     """Complete instance of range at most 9(k+2) realizing h's closure, for k
-    the width of x, any valid path decomposition of h.
+    the width of x, any valid path decomposition of h; raises
+    ValidationError "decomposition is not valid for the poset" for any other
+    bag sequence.
 
     Colors are bag indices of the nice form of x (`to_nice`), whose bag i
     follows step i of `_nice_steps`: an edge gets the first bag holding both
@@ -407,7 +405,7 @@ def realize_range(h: Dag, x: PathDecomposition) -> Instance:
             else:
                 last[v] = i - 1
     except ValidationError:
-        raise ValidationError("decomposition is not valid for this poset") from None
+        raise ValidationError("decomposition is not valid for the poset") from None
     # the first bag holding both ends: bag ranges are convex and overlap
     phi = {(u, v): max(first[u], first[v]) for u, v in h.edges}
     csets = {v: tuple(range(first[v], last[v] + 2)) for v in h.vertices()}

@@ -1,0 +1,34 @@
+import types
+
+import smposet
+
+# every name `from smposet import *` binds; a removal or an addition to the
+# public API changes this set
+PUBLIC = {
+    "AttrRealization", "AttributeProfile", "CapExceededError", "Dag", "Extent",
+    "FairnessScores", "Instance", "ListRealization", "MAN", "Matching",
+    "ParseError", "PathDecomposition", "RULE_1", "RULE_2", "RangeProfile",
+    "Rotation", "RotationDigraph", "ValidationError", "WOMAN",
+    "all_stable_matchings_bruteforce", "balanced_bruteforce", "bitonic_sequence",
+    "blocking_pairs", "check_realization", "complete_preferences", "compute_range",
+    "construct_instance", "construct_path_decomposition", "count_downsets",
+    "count_stable_matchings", "downset_from_matching", "downset_marginals",
+    "eliminate", "enumerate_downsets_bruteforce", "evaluate_profiles",
+    "exposed_rotations", "extent_of", "format_dag", "format_decomposition",
+    "format_instance", "gale_shapley", "is_downset", "matching_from_downset",
+    "median_and_count", "median_stable_matching", "parse_dag",
+    "parse_decomposition", "parse_instance", "pathwidth_exact_tiny",
+    "poset_isomorphic_small", "realize_attr6", "realize_bounded3",
+    "realize_complete", "realize_list2inf", "realize_range", "rotation_digraph",
+    "sample_downsets", "sample_stable_matchings", "sex_equal_bruteforce",
+    "symmetric_shortlists", "to_nice", "transitive_closure",
+    "transitive_reduction", "uniform_int", "validate_decomposition",
+}
+
+
+def test_public_names():
+    assert set(smposet.__all__) == PUBLIC
+    namespace: dict = {}
+    exec("from smposet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    assert not any(isinstance(v, types.ModuleType) for v in namespace.values())

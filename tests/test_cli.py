@@ -2,11 +2,17 @@ import shutil
 
 import pytest
 
-from smposet import ValidationError, check_realization, parse_dag, parse_instance
+from smposet import (
+    FairnessScores,
+    ValidationError,
+    check_realization,
+    parse_dag,
+    parse_instance,
+)
 from smposet import cli
 from smposet.cli import main
 
-from conftest import DATA
+from conftest import DATA, stable_matchings_by_matching_scan
 
 
 @pytest.fixture()
@@ -266,6 +272,25 @@ def test_fair_output(workdir, capsys):
     lines = out.strip().splitlines()
     assert "delta 3" in lines
     assert lines[0] == "m1 w2"
+
+
+def test_fair_on_incomplete_instances(workdir, capsys):
+    # scores are defined only when every agent is matched; by the rural
+    # hospitals theorem that holds for all stable matchings or for none
+    unmatched = workdir / "unmatched.sm"
+    unmatched.write_text("SM 2 2\nm1: w1\nm2: w1\nw1: m1 m2\nw2:\n")
+    path = DATA / "golden_list_incomplete.sm"
+    inst = parse_instance(path.read_text())
+    assert not inst.is_complete
+    scores = [FairnessScores.of(inst, mu) for mu in stable_matchings_by_matching_scan(inst)]
+    for objective, key in (("sexequal", "delta"), ("balanced", "beta")):
+        code, out, err = run(capsys, "fair", "--instance", unmatched, "--objective", objective)
+        assert (code, out, err) == (2, "", "error: scores need every man matched\n")
+        code, out, err = run(capsys, "fair", "--instance", path, "--objective", objective)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == inst.n_men + 4
+        assert f"{key} {min(getattr(s, key) for s in scores)}" in lines
 
 
 def test_oracle_count(workdir, capsys):

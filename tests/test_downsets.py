@@ -13,7 +13,6 @@ from smposet import (
     enumerate_downsets_bruteforce,
     is_downset,
     pathwidth_exact_tiny,
-    sample_downset,
     sample_downsets,
     to_nice,
     uniform_int,
@@ -112,8 +111,8 @@ def test_dp_rejects_exactly_what_the_checks_reject():
             variant[i] = variant[i] | {vary.choice(["a", 1.5, -1, 2.0, True])}
         for x in (PathDecomposition(tuple(bags)), PathDecomposition(tuple(variant))):
             calls = (
-                lambda: count_downsets(g, x, max_width=30),
-                lambda: sample_downsets(g, x, random.Random(1), 3, max_width=30),
+                lambda: count_downsets(g, x),
+                lambda: sample_downsets(g, x, random.Random(1), 3),
                 lambda: downset_marginals(g, x),
             )
             if not validate_by_rescan(g, x):
@@ -132,18 +131,30 @@ def test_dp_rejects_exactly_what_the_checks_reject():
     assert rejected > 500 and accepted > 500 and accepted_non_nice > 300
 
 
-def test_count_width_cap():
+def test_count_width_cap(monkeypatch):
+    from smposet import downsets
+
+    monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", 4)
     g = Dag(6, [])
     x = PathDecomposition.of([set(range(1, 7))])
     for y in (x, to_nice(g, x)):
         with pytest.raises(CapExceededError, match="bag size 6 exceeds width cap 4"):
-            count_downsets(g, y, max_width=4)
+            count_downsets(g, y)
     # a wide bag is refused at its first insert, before any table is built
-    from smposet.downsets import _dp
-
-    steps = _dp(x.bags, g.in_adj, g.out_adj, 4)
+    steps = downsets._dp(x.bags, g.in_adj, g.out_adj)
     with pytest.raises(CapExceededError):
         next(steps)
+
+
+def test_width_cap_refuses_one_bag_ladder():
+    # the chain ladder i -> i+1, i+2, i+3 has only n+1 downsets, so the state
+    # cap never fires on it; given as one bag, each of its 2n steps would
+    # update n+1 states, and only the width cap refuses it, at once
+    n = 2000
+    g = Dag(n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
+    x = PathDecomposition.of([range(1, n + 1)])
+    with pytest.raises(CapExceededError, match="^bag size 2000 exceeds width cap 30$"):
+        count_downsets(g, x)
 
 
 def test_count_state_cap(monkeypatch):
@@ -191,7 +202,7 @@ def test_sample_single_vertex():
     g = Dag(1, [])
     x = nice_for(g)
     rng = random.Random(1)
-    seen = Counter(tuple(sorted(sample_downset(g, x, rng))) for _ in range(2000))
+    seen = Counter(tuple(sorted(sample_downsets(g, x, rng, 1)[0])) for _ in range(2000))
     assert set(seen) == {(), (1,)}
     assert abs(seen[()] - 1000) < 4 * (2000 * 0.25) ** 0.5
 
@@ -202,11 +213,11 @@ def test_sample_always_downset():
         g = random_dag(rng, rng.randint(1, 7))
         x = nice_for(g)
         for _ in range(5):
-            assert is_downset(g, sample_downset(g, x, rng))
+            assert is_downset(g, sample_downsets(g, x, rng, 1)[0])
 
 
 def test_sample_empty_graph():
-    assert sample_downset(Dag(0, []), PathDecomposition(()), random.Random(2)) == frozenset()
+    assert sample_downsets(Dag(0, []), PathDecomposition(()), random.Random(2), 1)[0] == frozenset()
 
 
 def test_sample_frequencies_near_uniform():
@@ -214,7 +225,7 @@ def test_sample_frequencies_near_uniform():
     x = nice_for(g)
     rng = random.Random(20240817)
     draws = 40000
-    counts = Counter(tuple(sorted(sample_downset(g, x, rng))) for _ in range(draws))
+    counts = Counter(tuple(sorted(sample_downsets(g, x, rng, 1)[0])) for _ in range(draws))
     assert set(counts) == {(), (1,), (1, 2), (1, 2, 3)}
     sigma = (draws * 0.25 * 0.75) ** 0.5
     for v in counts.values():
@@ -245,8 +256,6 @@ def test_sample_downsets_same_seed_same_draws():
     x = nice_for(g)
     first = sample_downsets(g, x, random.Random(5), 50)
     assert sample_downsets(g, x, random.Random(5), 50) == first
-    rng = random.Random(5)
-    assert [sample_downset(g, x, rng) for _ in range(50)] == first
 
 
 def test_table_consistency_at_every_prefix():
@@ -269,6 +278,6 @@ def test_table_consistency_at_every_prefix():
             in_adj = {v: sub.in_adj[v] for v in seen}
             out_adj = {v: sub.out_adj[v] for v in seen}
             table = {0: 1}
-            for _v, _vbit, _inserted, table in _dp(prefix, in_adj, out_adj, 30):
+            for _v, _vbit, _inserted, table in _dp(prefix, in_adj, out_adj):
                 pass
             assert sum(table.values()) == expected

@@ -29,7 +29,6 @@ from smposet import (
     realize_list2inf,
     realize_range,
     rotation_digraph,
-    sample_stable_matching,
     sample_stable_matchings,
     sex_equal_bruteforce,
     to_nice,
@@ -71,7 +70,7 @@ def test_count_matches_bruteforce():
 
 def test_sample_unique_instance_is_constant():
     inst = unique_instance()
-    mu = sample_stable_matching(inst, random.Random(5))
+    mu = sample_stable_matchings(inst, random.Random(5), 1)[0]
     assert mu == gale_shapley(inst, MAN)
 
 
@@ -213,11 +212,14 @@ def test_fair_matches_exhaustive_scan():
         assert ba.beta == best_beta
 
 
-def test_fair_cap():
-    # antichain of 21 rotations would need 2^21 downsets
+def test_fair_cap(monkeypatch):
+    # an antichain of 5 rotations has 2^5 downsets
+    from smposet import fairness
+
+    monkeypatch.setattr(fairness, "MAX_MATCHINGS", 10)
     inst = realize_complete(Dag(5, []))
-    with pytest.raises(CapExceededError):
-        sex_equal_bruteforce(inst, max_matchings=10)
+    with pytest.raises(CapExceededError, match="^32 stable matchings exceed cap 10$"):
+        sex_equal_bruteforce(inst)
 
 
 def test_fair_cap_fires_before_listing(monkeypatch):

@@ -71,8 +71,8 @@ def test_golden_list_figure():
     lines = [
         "LM1: " + " ".join(wl[i] for i in res.lm1),
         "LM2: " + " ".join(wl[i] for i in res.lm2),
-        "LW1: " + " ".join(ml[i] for i in res.lw1),
-        "LW2: " + " ".join(ml[i] for i in res.lw2),
+        "LW1: " + " ".join(ml[i] for i in res.lm1),
+        "LW2: " + " ".join(ml[i] for i in res.lm2),
     ]
     assert "\n".join(lines) + "\n" == data_text("golden_list_masters.txt")
 
@@ -362,8 +362,8 @@ def test_list2inf_incomplete_women_lists_are_master_sublists():
 
         for w in range(res.incomplete.n_women):
             lst = res.incomplete.women_prefs[w]
-            assert is_sublist(list(lst), list(res.lw1)) or is_sublist(
-                list(lst), list(res.lw2)
+            assert is_sublist(list(lst), list(res.lm1)) or is_sublist(
+                list(lst), list(res.lm2)
             )
 
 
@@ -435,19 +435,19 @@ def test_realize_range_accepts_any_valid_decomposition():
         bad = PathDecomposition(tuple(corrupt_bags(rng, g, list(x.bags))))
         if not validate_decomposition(g, bad):
             rejected += 1
-            with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+            with pytest.raises(ValidationError, match="^decomposition is not valid for the poset$"):
                 realize_range(g, bad)
     assert non_nice > 8 and rejected > 6
     inst = realize_range(DIAMOND, PathDecomposition.of([{1, 2, 3, 4}]))
     assert inst == realize_range(DIAMOND, to_nice(DIAMOND, PathDecomposition.of([{1, 2, 3, 4}])))
     assert check_realization(DIAMOND, inst)
-    with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+    with pytest.raises(ValidationError, match="^decomposition is not valid for the poset$"):
         realize_range(DIAMOND, PathDecomposition.of([{1, 2, 3}, {4}]))
 
 
 def test_realize_range_empty_poset():
     assert realize_range(Dag(0, []), PathDecomposition(())) == Instance([], [])
-    with pytest.raises(ValidationError, match="^decomposition is not valid for this poset$"):
+    with pytest.raises(ValidationError, match="^decomposition is not valid for the poset$"):
         realize_range(Dag(0, []), PathDecomposition.of([{1}]))
 
 
