@@ -51,15 +51,17 @@ def _dp(
                 raise CapExceededError(
                     f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
                 )
+            # slot vbit is free in every key, so no two writes meet and no
+            # count is copied by adding it to 0
             for a, c in table.items():
                 if not a & wmask:
                     new[a] = c
                 if a & umask == umask:
-                    new[a | vbit] = new.get(a | vbit, 0) + c
+                    new[a | vbit] = c
         else:
             for a, c in table.items():
                 key = a & ~vbit
-                new[key] = new.get(key, 0) + c
+                new[key] = new[key] + c if key in new else c
         table = new
         yield v, vbit, bool(size), table
 

@@ -325,14 +325,17 @@ def compute_range(inst: Instance) -> RangeProfile:
                 orank_m[m] = r
             if r > maxrank_m[m]:
                 maxrank_m[m] = r
+    # an agent that no one ranks (the other side is empty) gets 0, as its maxrank does
+    orank_m = [0 if r == INF else r for r in orank_m]
+    orank_w = [0 if r == INF else r for r in orank_w]
     spreads = [mx - mn for mn, mx in zip(orank_m, maxrank_m)]
     spreads += [mx - mn for mn, mx in zip(orank_w, maxrank_w)]
     k = (max(spreads) if spreads else 0) + 1
     return RangeProfile(
         k=k,
-        orank_men=tuple(int(x) for x in orank_m),
+        orank_men=tuple(orank_m),
         maxrank_men=tuple(maxrank_m),
-        orank_women=tuple(int(x) for x in orank_w),
+        orank_women=tuple(orank_w),
         maxrank_women=tuple(maxrank_w),
     )
 

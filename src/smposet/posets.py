@@ -7,6 +7,7 @@ blank lines and header follow `_text`.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -43,10 +44,16 @@ class Dag:
         colors: Optional[Mapping[tuple[int, int], int]] = None,
     ):
         self.p = int(p)
-        edge_list = [(int(u), int(v)) for u, v in edges]
-        self.edges = frozenset(edge_list)
-        if len(edge_list) != len(self.edges):
-            edge_list = list(self.edges)
+        edge_list = []
+        for e in edges:
+            u, v = e
+            # an (int, int) tuple is kept as it is, so no second copy is made
+            if type(e) is not tuple or type(u) is not int or type(v) is not int:
+                e = (int(u), int(v))
+            edge_list.append(e)
+        edge_set = frozenset(edge_list)
+        if len(edge_list) != len(edge_set):
+            edge_list = list(edge_set)
         # linear on the sorted edge lists the file format usually holds
         edge_list.sort()
         self.colors = dict(colors) if colors else {}
@@ -58,13 +65,21 @@ class Dag:
             if u == v:
                 raise ValidationError(f"self-loop at {u}")
         for e in self.colors:
-            if e not in self.edges:
+            if e not in edge_set:
                 raise ValidationError(f"color assigned to missing edge {e}")
+        del edge_set  # not held while the adjacency is built
         self.out_adj = _adjacency(self.p, edge_list)
         # the sort is stable, so tails stay ascending within each head
         by_head = sorted(edge_list, key=itemgetter(1))
         self.in_adj = _adjacency(self.p, ((v, u) for u, v in by_head))
         _topological_order(self)  # raises on a cycle
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set, built from `out_adj` on first access, since
+        counting never reads it.
+        """
+        return frozenset((u, v) for u, vs in self.out_adj.items() for v in vs)
 
     def vertices(self) -> range:
         return range(1, self.p + 1)
@@ -76,7 +91,7 @@ class Dag:
         return hash((self.p, self.edges))
 
     def __repr__(self) -> str:
-        return f"Dag(p={self.p}, q={len(self.edges)})"
+        return f"Dag(p={self.p}, q={sum(map(len, self.out_adj.values()))})"
 
 
 def _topological_order(g: Dag) -> list[int]:
@@ -270,6 +285,7 @@ def parse_dag(text: str) -> Dag:
         raise ParseError(f"expected {q} edge lines, found {found}")
     edges = []
     colors = {}
+    ids: dict[str, int] = {}  # one int per vertex id, shared by all its edges
     for line in body:
         if not line:
             continue
@@ -277,7 +293,8 @@ def parse_dag(text: str) -> Dag:
         if len(parts) not in (2, 3):
             raise ParseError(f"bad edge line: {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u = ids.get(parts[0]) or ids.setdefault(parts[0], int(parts[0]))
+            v = ids.get(parts[1]) or ids.setdefault(parts[1], int(parts[1]))
         except ValueError:
             raise ParseError(f"bad edge line: {line!r}") from None
         edges.append((u, v))
@@ -289,6 +306,7 @@ def parse_dag(text: str) -> Dag:
             if c <= 0:
                 raise ParseError(f"colors must be positive: {line!r}")
             colors[(u, v)] = c
+    del body, ids  # not held while the Dag is built
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate edge")
     try:

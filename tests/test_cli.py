@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,36 @@ def test_count_median_sample_on_incomplete_instance(capsys):
     code, out, err = run(capsys, "sample", "--instance", path, "--seed", "3", "--draws", "4")
     assert code == 0 and err == ""
     assert len(out.split("\n\n")) == 4
+
+
+@pytest.mark.parametrize(
+    "text, side",
+    [("SM 0 2\nw1:\nw2:\n", "woman"), ("SM 2 0\nm1:\nm2:\n", "man")],
+)
+def test_instances_with_agents_on_one_side(tmp_path, capsys, text, side):
+    # the one stable matching is the empty one, as for SM 0 0
+    path = tmp_path / "one_side.sm"
+    path.write_text(text)
+    empty = tmp_path / "empty.sm"
+    empty.write_text("SM 0 0\n")
+    for argv in (["count"], ["median"], ["sample", "--seed", "5", "--draws", "2"]):
+        want = run(capsys, *argv, "--instance", empty)
+        assert want[0] == 0
+        assert run(capsys, *argv, "--instance", path) == want
+    code, out, err = run(capsys, "analyze", "--instance", path)
+    assert code == 0 and err == "" and "rotations 0\n" in out
+    for objective in ("sexequal", "balanced"):
+        code, out, err = run(capsys, "fair", "--instance", path, "--objective", objective)
+        assert (code, out, err) == (2, "", f"error: scores need every {side} matched\n")
+
+
+def test_python_m_smposet_runs_the_cli(capsys):
+    paths = sorted(str(p) for p in DATA.glob("*.sm"))
+    want = run(capsys, "count", "--instance", *paths)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "smposet", "count", "--instance", *paths],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert want[0] == 0 and want[1].count("\n") == len(paths) > 1
+    assert (done.returncode, done.stdout, done.stderr) == want

@@ -281,3 +281,70 @@ def test_table_consistency_at_every_prefix():
             for _v, _vbit, _inserted, table in _dp(prefix, in_adj, out_adj):
                 pass
             assert sum(table.values()) == expected
+
+
+def parent_dp(bags, in_adj, out_adj):
+    # reference: `_dp` before inserts stopped adding counts to 0, renamed and
+    # reading the caps from the module, otherwise unchanged
+    from smposet import downsets
+    from smposet.pathdecomp import _nice_steps
+
+    width_cap = downsets.HARD_WIDTH_CAP
+    table: dict[int, int] = {0: 1}
+    for v, vbit, size, umask, wmask in _nice_steps(bags, in_adj, out_adj):
+        new: dict[int, int] = {}
+        if size:
+            # at the first insert of a wide bag, before its table grows
+            if size > width_cap + 1:
+                raise CapExceededError(f"bag size {size} exceeds width cap {width_cap}")
+            if 2 * len(table) > downsets.MAX_STATES:
+                raise CapExceededError(
+                    f"{2 * len(table)} DP states exceed cap {downsets.MAX_STATES}"
+                )
+            for a, c in table.items():
+                if not a & wmask:
+                    new[a] = c
+                if a & umask == umask:
+                    new[a | vbit] = new.get(a | vbit, 0) + c
+        else:
+            for a, c in table.items():
+                key = a & ~vbit
+                new[key] = new.get(key, 0) + c
+        table = new
+        yield v, vbit, bool(size), table
+
+
+def test_dp_matches_reference_step_by_step(monkeypatch):
+    # every step's table, items in order, and every refusal with its message,
+    # on valid, corrupted, merged and capped decompositions
+    from smposet import downsets
+
+    def run(dp, g, x):
+        steps = []
+        try:
+            for v, vbit, inserted, table in dp(x.bags, g.in_adj, g.out_adj):
+                steps.append((v, vbit, inserted, list(table.items())))
+        except (ValidationError, CapExceededError) as exc:
+            return steps, (type(exc), str(exc))
+        return steps, None
+
+    rng = random.Random(157)
+    outcomes = Counter()
+    for _ in range(2000):
+        p = rng.randint(0, 8)
+        names = rng.sample(range(1, p + 1), p)
+        base = random_dag(rng, p, rng.choice([0.2, 0.4, 0.6]))
+        g = Dag(p, [(names[u - 1], names[v - 1]) for u, v in base.edges])
+        bags = random_nice_bags(rng, g)
+        if rng.random() < 0.3:
+            bags = corrupt_bags(rng, g, bags)
+        if rng.random() < 0.5:
+            bags = merge_runs(rng, bags)
+        capped = rng.random() < 0.3
+        monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", rng.randint(1, 4) if capped else 30)
+        monkeypatch.setattr(downsets, "MAX_STATES", rng.choice([4, 8, 16]) if capped else 1 << 20)
+        x = PathDecomposition(tuple(bags))
+        want = run(parent_dp, g, x)
+        assert run(downsets._dp, g, x) == want
+        outcomes[want[1][0].__name__ if want[1] else "counted"] += 1
+    assert min(outcomes.values()) > 200 and len(outcomes) == 3

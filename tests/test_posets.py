@@ -76,6 +76,62 @@ def test_adjacency_matches_reference_on_shuffled_and_repeated_edges():
         assert list(g.out_adj) == list(g.in_adj) == list(range(1, p + 1))
 
 
+def test_lazy_edges_equal_the_eager_set():
+    # `edges` is built from out_adj on first access; it must equal the set
+    # the constructor once built from its input, whatever form that took
+    rng = random.Random(163)
+    for _ in range(300):
+        p = rng.randint(0, 12)
+        names = rng.sample(range(1, p + 1), p)
+        base = sorted(random_dag(rng, p, rng.choice([0.2, 0.5, 0.8])).edges)
+        pairs = [(names[u - 1], names[v - 1]) for u, v in base]
+        if pairs and rng.random() < 0.5:
+            pairs += rng.choices(pairs, k=rng.randint(1, len(pairs)))
+        rng.shuffle(pairs)
+        form = rng.randrange(4)
+        if form == 0:
+            edges = pairs
+        elif form == 1:
+            edges = set(pairs)
+        elif form == 2:
+            edges = [[u, v] for u, v in pairs]
+        else:
+            edges = [(str(u), v) for u, v in pairs]
+        colors = {e: rng.randint(1, 3) for e in pairs if rng.random() < 0.3}
+        g = Dag(p, edges, colors)
+        assert "edges" not in vars(g)
+        eager = frozenset((int(u), int(v)) for u, v in edges)
+        assert g.edges == eager and g.edges is g.edges
+        assert g == Dag(p, sorted(eager)) and hash(g) == hash((p, eager))
+        assert g.colors == colors
+
+
+def test_color_on_a_missing_edge_is_refused():
+    with pytest.raises(
+        ValidationError, match=r"^color assigned to missing edge \(2, 1\)$"
+    ):
+        Dag(2, [(1, 2)], {(1, 2): 1, (2, 1): 3})
+    assert Dag(2, [(1, 2), (1, 2)], {(1, 2): 3}).colors == {(1, 2): 3}
+
+
+def test_parse_dag_shares_one_int_per_vertex():
+    # ids above 256 are not cached by the interpreter, so each parsed token
+    # would otherwise be its own int object
+    p = 600
+    rng = random.Random(167)
+    edges = [(u, u + d) for u in range(1, p) for d in (1, 2, 3) if u + d <= p and rng.random() < 0.7]
+    g = parse_dag(f"DAG {p} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert "edges" not in vars(g)
+    objects: dict[int, set[int]] = {}
+    for adj in (g.in_adj, g.out_adj):
+        for ws in adj.values():
+            for w in ws:
+                objects.setdefault(w, set()).add(id(w))
+    assert len(objects) > 500
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert g.edges == frozenset(edges)
+
+
 def test_parse_dag_and_round_trip():
     g = parse_dag(data_text("diamond.dag"))
     assert g.p == 4 and g.edges == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
