@@ -61,8 +61,15 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _print_matching(inst: Instance, mu: Matching, out) -> None:
@@ -139,9 +146,9 @@ def _cmd_realize(args) -> int:
         inst = realize_range(g, parse_decomposition(_read(args.decomp)))
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown model {args.model}")
-    Path(args.output).write_text(format_instance(inst), encoding="utf-8")
+    _write(args.output, format_instance(inst))
     for suffix, text in sidecars:
-        Path(args.output + suffix).write_text(text, encoding="utf-8")
+        _write(args.output + suffix, text)
     return 0
 
 
@@ -172,7 +179,7 @@ def _cmd_analyze(args) -> int:
     else:
         print("range n/a (incomplete instance)")
     if args.dot:
-        Path(args.dot).write_text(dg.to_dot(inst), encoding="utf-8")
+        _write(args.dot, dg.to_dot(inst))
     return 0
 
 
@@ -263,7 +270,7 @@ def _cmd_oracle(args) -> int:
         width, x = pathwidth_exact_tiny(g)
         print(width)
         if args.output:
-            Path(args.output).write_text(format_decomposition(x), encoding="utf-8")
+            _write(args.output, format_decomposition(x))
     return 0
 
 
@@ -287,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("count", help="count stable matchings or downsets")
-    p.add_argument("--instance", nargs="+")
-    p.add_argument("--dag")
+    inputs = p.add_mutually_exclusive_group()
+    inputs.add_argument("--instance", nargs="+")
+    inputs.add_argument("--dag")
     p.add_argument("--decomp")
     p.set_defaults(func=_cmd_count)
 
@@ -316,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force counterparts for CI comparison")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     oc = osub.add_parser("count")
-    oc.add_argument("--instance")
-    oc.add_argument("--dag")
+    inputs = oc.add_mutually_exclusive_group()
+    inputs.add_argument("--instance")
+    inputs.add_argument("--dag")
     om = osub.add_parser("matchings")
     om.add_argument("--instance", required=True)
     op = osub.add_parser("pathwidth")

@@ -51,15 +51,6 @@ class Matching:
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.sorted_pairs())
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matching) and self.pairs == other.pairs
 

@@ -280,6 +280,8 @@ def parse_decomposition(text: str) -> PathDecomposition:
     of space-separated vertex ids; a blank line is an empty bag.
     """
     (count,), body = _text.header(text, "PD", 1, "decomposition")
+    if count < 0:
+        raise ParseError("negative bag count")
     while len(body) > count and not body[-1]:
         body.pop()
     if len(body) != count:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
@@ -95,67 +96,64 @@ class Dag:
 
 
 def _topological_order(g: Dag) -> list[int]:
-    """The vertices of g in a topological order (Kahn); raises
-    ValidationError if g has a cycle.
+    """The vertices of g in a topological order, the largest ready vertex
+    first (Kahn, with a heap), so p, p-1, ..., 1 whenever that is one;
+    raises ValidationError if g has a cycle.
     """
-    indeg = {v: len(g.in_adj[v]) for v in g.vertices()}
-    stack = [v for v in g.vertices() if indeg[v] == 0]
+    indeg = {v: len(us) for v, us in g.in_adj.items()}
+    heap = [-v for v in reversed(g.vertices()) if not indeg[v]]  # sorted, so a heap
     order = []
-    while stack:
-        u = stack.pop()
+    while heap:
+        u = -heappop(heap)
         order.append(u)
         for v in g.out_adj[u]:
             indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
+            if not indeg[v]:
+                heappush(heap, -v)
     if len(order) != g.p:
         raise ValidationError("graph contains a cycle")
     return order
 
 
-def reachable_from(g: Dag, v: int) -> set[int]:
-    """Vertices reachable from v, including v itself."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for x in g.out_adj[u]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen
+def _reach(g: Dag) -> tuple[list[int], list[tuple[int, int]]]:
+    """The bitset of the vertices each vertex reaches (bit v set: v is
+    reached, itself included), indexed by vertex, and the edges of the
+    transitive reduction.
 
-
-def transitive_closure(g: Dag) -> Dag:
-    edges = set()
-    for v in g.vertices():
-        for x in reachable_from(g, v):
-            if x != v:
-                edges.add((v, x))
-    return Dag(g.p, edges)
-
-
-def transitive_reduction(g: Dag) -> Dag:
-    """The unique minimal edge set with the same closure (unique for DAGs).
-
-    Vertices are visited in reverse topological order, each with the bitset
-    of the vertices it reaches. A vertex's successors are taken in
-    topological order, and the edge to one is kept only if no earlier
-    successor reaches it; a later successor cannot. Each kept edge costs one
-    OR of p-bit ints.
+    Vertices are visited in reverse topological order. A vertex's successors
+    are taken in topological order, and the edge to one is kept only if no
+    earlier successor reaches it; a later successor cannot. Each kept edge
+    costs one OR of p-bit ints.
     """
     order = _topological_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    reach = [0] * (g.p + 1)  # bit v set: v is reached, itself included
-    edges = []
+    reach = [0] * (g.p + 1)
+    kept = []
     for u in reversed(order):
         r = 0
         for v in sorted(g.out_adj[u], key=pos.__getitem__):
             if not r >> v & 1:
-                edges.append((u, v))
+                kept.append((u, v))
                 r |= reach[v]
         reach[u] = r | 1 << u
+    return reach, kept
+
+
+def transitive_closure(g: Dag) -> Dag:
+    reach, _ = _reach(g)
+    edges = []
+    for u in g.vertices():
+        r = reach[u] ^ 1 << u
+        while r:  # one step per set bit, not per vertex
+            low = r & -r
+            edges.append((u, low.bit_length() - 1))
+            r ^= low
     return Dag(g.p, edges)
+
+
+def transitive_reduction(g: Dag) -> Dag:
+    """The unique minimal edge set with the same closure (unique for DAGs)."""
+    return Dag(g.p, _reach(g)[1])
 
 
 def is_downset(g: Dag, zs: Iterable[int]) -> bool:
@@ -163,7 +161,7 @@ def is_downset(g: Dag, zs: Iterable[int]) -> bool:
     z = set(zs)
     if not z <= set(g.vertices()):
         return False
-    return all(u in z for u, v in g.edges if v in z)
+    return all(u in z for v in z for u in g.in_adj[v])
 
 
 def enumerate_downsets_bruteforce(g: Dag, max_p: int = 20) -> list[frozenset[int]]:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import ValidationError
 from .instance import Instance, complete_preferences, symmetric_shortlists
 from .pathdecomp import PathDecomposition, _nice_steps
-from .posets import Dag
+from .posets import Dag, _topological_order
 
 
 def padded_color_sets(
@@ -305,28 +305,6 @@ class ListRealization:
     master_side: str
 
 
-def _topological_relabel(h: Dag) -> dict[int, int]:
-    """Relabel so that (p, p-1, ..., 1) is a topological order; the identity
-    whenever the input already has that property.
-    """
-    import heapq
-
-    indeg = {v: len(h.in_adj[v]) for v in h.vertices()}
-    heap = [-v for v in h.vertices() if indeg[v] == 0]
-    heapq.heapify(heap)
-    new: dict[int, int] = {}
-    label = h.p
-    while heap:
-        u = -heapq.heappop(heap)
-        new[u] = label
-        label -= 1
-        for w in h.out_adj[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, -w)
-    return new
-
-
 def realize_list2inf(h: Dag, master_side: str = "m") -> ListRealization:
     """(2, inf)-list instance realizing h's closure: the master side (men by
     default) uses only two full preference lists. master_side='w' builds the
@@ -334,9 +312,11 @@ def realize_list2inf(h: Dag, master_side: str = "m") -> ListRealization:
     """
     if master_side not in ("m", "w"):
         raise ValidationError("master_side must be 'm' or 'w'")
-    relabel = _topological_relabel(h)
-    back = {nv: v for v, nv in relabel.items()}
     p = h.p
+    # (p, p-1, ..., 1) is a topological order of h2; the identity whenever
+    # it already is one of h
+    relabel = {v: p - i for i, v in enumerate(_topological_order(h))}
+    back = {nv: v for v, nv in relabel.items()}
     h2 = Dag(p, {(relabel[u], relabel[v]) for u, v in h.edges})
     phi = {e: e[0] for e in h2.edges}
     base_sets = padded_color_sets(h2, phi)

@@ -35,10 +35,10 @@ class Rotation:
             raise ValidationError("rotation agents must be distinct")
 
     @staticmethod
-    def canonical(pairs: Iterable[tuple[int, int]], id: int = -1) -> "Rotation":
+    def canonical(pairs: Iterable[tuple[int, int]]) -> "Rotation":
         ps = list(pairs)
         start = min(range(len(ps)), key=lambda i: ps[i][0])
-        return Rotation(id, tuple(ps[start:] + ps[:start]))
+        return Rotation(-1, tuple(ps[start:] + ps[:start]))
 
     def men(self) -> tuple[int, ...]:
         return tuple(m for m, _ in self.pairs)

@@ -67,6 +67,19 @@ def stable_matchings_by_matching_scan(inst: Instance) -> list[Matching]:
     return sorted(out, key=lambda m: m.sorted_pairs())
 
 
+def reachable_from(g: Dag, v: int) -> set[int]:
+    """Vertices reachable from v, including v itself."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for x in g.out_adj[u]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
 def random_dag(rng, p: int, edge_prob: float = 0.35) -> Dag:
     edges = [
         (u, v)

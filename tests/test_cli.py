@@ -8,9 +8,11 @@ import pytest
 
 from smposet import (
     FairnessScores,
+    ParseError,
     ValidationError,
     check_realization,
     parse_dag,
+    parse_decomposition,
     parse_instance,
 )
 from smposet import cli
@@ -345,6 +347,64 @@ def test_parse_error_exit_code(workdir, capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "count")[0] == 2  # no inputs given
     assert run(capsys, "nonsense")[0] == 1
+
+
+def test_negative_bag_count_exits_2(workdir, capsys):
+    with pytest.raises(ParseError, match="^negative bag count$"):
+        parse_decomposition("PD -1\n")
+    neg = workdir / "neg.pd"
+    neg.write_text("PD -1\n")
+    code, out, err = run(capsys, "count", "--dag", workdir / "diamond.dag", "--decomp", neg)
+    assert (code, out) == (2, "")
+    assert err == "error: negative bag count\n"
+
+
+def test_input_that_is_not_utf8_exits_2(workdir, capsys):
+    bad = workdir / "latin.sm"
+    bad.write_bytes(b"SM 1 1\nm1: w1\xff\nw1: m1\n")
+    code, out, err = run(capsys, "count", "--instance", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "--model", "complete", "--poset", "{dir}/diamond.dag", "-o", "{dir}/no/a.sm"),
+        ("analyze", "--instance", "{dir}/example_rotation_poset.sm", "--dot", "{dir}/no/g.dot"),
+        ("oracle", "pathwidth", "--dag", "{dir}/diamond.dag", "-o", "{dir}/no/d.pd"),
+    ],
+)
+def test_unwritable_output_exits_2(workdir, capsys, argv):
+    argv = [a.format(dir=workdir) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {workdir}/no/")
+    assert not (workdir / "no").exists()
+
+
+@pytest.mark.parametrize(("model", "suffix"), [("attr6", ".profiles"), ("list2inf", ".masters")])
+def test_unwritable_sidecar_exits_2(workdir, capsys, model, suffix):
+    out_path = workdir / "a.sm"
+    Path(str(out_path) + suffix).mkdir()
+    code, _, err = run(
+        capsys, "realize", "--model", model, "--poset", workdir / "chain3.dag", "-o", out_path
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out_path}{suffix}: ")
+
+
+def test_instance_and_dag_together_are_a_usage_error(workdir, capsys):
+    inst, dag = workdir / "example_rotation_poset.sm", workdir / "diamond.dag"
+    for argv in (
+        ("count", "--instance", inst, "--dag", dag, "--decomp", workdir / "diamond.pd"),
+        ("count", "--dag", dag, "--decomp", workdir / "diamond.pd", "--instance", inst),
+        ("oracle", "count", "--instance", inst, "--dag", dag),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+    assert run(capsys, "oracle", "count")[0] == 2  # no input given
 
 
 def test_realize_output_reparses_and_verifies(workdir, capsys):

@@ -18,13 +18,13 @@ from smposet import (
     uniform_int,
     validate_decomposition,
 )
-from smposet.posets import reachable_from
 
 from conftest import (
     corrupt_bags,
     merge_runs,
     random_dag,
     random_nice_bags,
+    reachable_from,
     validate_by_rescan,
 )
 

@@ -15,11 +15,12 @@ from smposet import (
     poset_isomorphic_small,
     realize_bounded3,
     realize_complete,
+    realize_list2inf,
     rotation_digraph,
     transitive_closure,
     transitive_reduction,
 )
-from smposet.posets import reachable_from
+from smposet.posets import _topological_order
 
 from conftest import (
     data_text,
@@ -27,6 +28,7 @@ from conftest import (
     posets_upto_isomorphism,
     random_complete_instance,
     random_dag,
+    reachable_from,
 )
 
 
@@ -163,8 +165,8 @@ def test_closure_edgeless():
 
 def test_closure_matches_dfs_oracle():
     rng = random.Random(17)
-    for _ in range(25):
-        g = random_dag(rng, 8)
+    graphs = [random_dag(rng, 8) for _ in range(25)]
+    for g in graphs + [g for g, _ in _search_graphs()]:
         closure = transitive_closure(g)
         for v in g.vertices():
             reach = reachable_from(g, v) - {v}
@@ -217,6 +219,115 @@ def test_reduction_matches_reference():
         graphs.append(rotation_digraph(random_complete_instance(rng, n)).dag())
     for g in graphs:
         assert transitive_reduction(g) == _reduction_reference(g), (g.p, sorted(g.edges))
+
+
+def _topological_relabel(h: Dag) -> dict[int, int]:
+    """Relabel so that (p, p-1, ..., 1) is a topological order; the identity
+    whenever the input already has that property.
+    """
+    import heapq
+
+    indeg = {v: len(h.in_adj[v]) for v in h.vertices()}
+    heap = [-v for v in h.vertices() if indeg[v] == 0]
+    heapq.heapify(heap)
+    new: dict[int, int] = {}
+    label = h.p
+    while heap:
+        u = -heapq.heappop(heap)
+        new[u] = label
+        label -= 1
+        for w in h.out_adj[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, -w)
+    return new
+
+
+def _search_graphs():
+    """Label-shuffled random DAGs, an antichain, a chain, and DAGs labelled
+    so that (p, p-1, ..., 1) is already a topological order; the last come
+    with a True flag.
+    """
+    rng = random.Random(59)
+    graphs = []
+    for _ in range(300):
+        p = rng.randint(0, 14)
+        base = random_dag(rng, p, rng.choice([0.1, 0.3, 0.6, 0.9]))
+        names = rng.sample(range(1, p + 1), p)
+        graphs.append((Dag(p, [(names[u - 1], names[v - 1]) for u, v in base.edges]), False))
+    graphs.append((Dag(40, []), True))
+    graphs.append((Dag(40, [(v, v + 1) for v in range(1, 40)]), False))
+    graphs.append((Dag(40, [(v + 1, v) for v in range(1, 40)]), True))
+    for _ in range(50):
+        p = rng.randint(1, 14)
+        base = random_dag(rng, p, rng.choice([0.1, 0.3, 0.6, 0.9]))  # ids ascend along edges
+        graphs.append((Dag(p, [(p + 1 - u, p + 1 - v) for u, v in base.edges]), True))
+    return graphs
+
+
+def test_topological_order_takes_the_largest_ready_vertex():
+    for g, reverse_labelled in _search_graphs():
+        order = _topological_order(g)
+        assert sorted(order) == list(g.vertices())
+        placed: set[int] = set()
+        for u in order:
+            ready = [v for v in g.vertices() if v not in placed and set(g.in_adj[v]) <= placed]
+            assert u == max(ready), (g.p, sorted(g.edges), order)
+            placed.add(u)
+        if reverse_labelled:
+            assert order == list(range(g.p, 0, -1))
+
+
+def test_list2inf_relabel_matches_reference():
+    for k, (g, reverse_labelled) in enumerate(_search_graphs()):
+        relabel = {v: g.p - i for i, v in enumerate(_topological_order(g))}
+        assert relabel == _topological_relabel(g), (g.p, sorted(g.edges))
+        if reverse_labelled:
+            assert relabel == {v: v for v in g.vertices()}
+        if k % 10 == 0:
+            # realize_list2inf labels its agents m[c,v] with the caller's
+            # vertex ids, the relabelled vertices 1..p in turn
+            back = {nv: v for v, nv in relabel.items()}
+            labels = realize_list2inf(g).incomplete.men_labels
+            seen = [int(label[:-1].split(",")[1]) for label in labels]
+            assert list(dict.fromkeys(seen)) == [back[v] for v in g.vertices()]
+
+
+def _unchecked_graph(p, edges):
+    """A Dag built without the constructor, and so without its cycle check."""
+    g = Dag.__new__(Dag)
+    g.p = p
+    g.out_adj = {v: tuple(sorted(y for x, y in edges if x == v)) for v in range(1, p + 1)}
+    g.in_adj = {v: tuple(sorted(x for x, y in edges if y == v)) for v in range(1, p + 1)}
+    return g
+
+
+def test_topological_order_raises_on_a_cycle():
+    rng = random.Random(61)
+    for _ in range(100):
+        p = rng.randint(2, 12)
+        g = random_dag(rng, p, rng.choice([0.2, 0.5]))
+        u = rng.randint(1, p - 1)
+        # an edge back to u from a vertex u reaches, or else a self-loop
+        v = rng.choice(sorted(reachable_from(g, u) - {u}) or [u])
+        names = rng.sample(range(1, p + 1), p)
+        cyclic = [(names[a - 1], names[b - 1]) for a, b in g.edges | {(v, u)}]
+        with pytest.raises(ValidationError, match="^graph contains a cycle$"):
+            _topological_order(_unchecked_graph(p, cyclic))
+        acyclic = [(names[a - 1], names[b - 1]) for a, b in g.edges]
+        assert len(_topological_order(_unchecked_graph(p, acyclic))) == p
+
+
+def test_is_downset_reads_only_in_adjacency():
+    rng = random.Random(67)
+    for _ in range(100):
+        g = random_dag(rng, rng.randint(0, 10), 0.4)
+        g = Dag(g.p, sorted(g.edges))  # a fresh Dag, edges not yet built
+        z = {v for v in g.vertices() if rng.random() < 0.5}
+        got = is_downset(g, z)
+        assert "edges" not in vars(g)
+        assert got == all(u in z for u, v in g.edges if v in z)
+    assert not is_downset(Dag(2, []), {3})
 
 
 def test_is_downset_chain():

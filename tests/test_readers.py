@@ -2,10 +2,12 @@
 each held their own copy of the comment, blank-line and header rules, before
 those rules moved to `smposet._text`. On seeded, mutated texts of each format
 the reader must return the same object, or raise the same exception type
-with the same message. Two differences are allowed. In the decomposition
+with the same message. Three differences are allowed. In the decomposition
 format, a message that quotes a line now quotes it without its leading
-whitespace. In the coloring format, a line for a pair that is not an edge,
-or a second line for an edge, is now refused where the reference read on.
+whitespace, and a negative bag count is refused as such, where the
+reference crashed with IndexError or asked for a negative number of bag
+lines. In the coloring format, a line for a pair that is not an edge, or a
+second line for an edge, is now refused where the reference read on.
 """
 from __future__ import annotations
 
@@ -387,7 +389,7 @@ def test_dag_reader_matches_reference():
 def test_decomposition_reader_matches_reference():
     rng = random.Random(703)
     seen = set()
-    unindented = 0
+    unindented = negative = 0
     for _ in range(CASES):
         text = _text(rng, _random_decomposition_lines(rng), INTS)
         expected = _outcome(parent_parse_decomposition, text)
@@ -395,7 +397,14 @@ def test_decomposition_reader_matches_reference():
         seen.add(_kind(expected))
         if got == expected:
             continue
-        # the one difference: a quoted line loses its leading whitespace
+        if got == (ParseError, "negative bag count"):
+            # the reference crashed on an empty body, or asked for -N lines
+            assert expected[0] is IndexError or re.fullmatch(
+                r"expected -\d+ bag lines, found \d+", expected[1]
+            ), text
+            negative += 1
+            continue
+        # otherwise a quoted line loses its leading whitespace
         head, quoted = re.fullmatch(
             r"(bad header|bad header count|bad bag line): (.*)", expected[1]
         ).groups()
@@ -403,7 +412,7 @@ def test_decomposition_reader_matches_reference():
         assert line != line.lstrip(), text
         assert got == (ParseError, f"{head}: {line.strip()!r}"), text
         unindented += 1
-    assert unindented > 0
+    assert unindented > 0 and negative > 0
     assert seen >= {
         None,
         "empty decomposition file",
