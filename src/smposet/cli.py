@@ -127,7 +127,7 @@ def _cmd_realize(args) -> int:
             lines.append(f"weights {label}: {ws}")
         sidecars.append((".profiles", "\n".join(lines) + "\n"))
     elif args.model == "list2inf":
-        res = realize_list2inf(g, master_side=args.master_side)
+        res = realize_list2inf(g, master_side=args.master_side or "m")
         inst = res.instance
         lines = []
         for name, master in (("LM1", res.lm1), ("LM2", res.lm2)):
@@ -284,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poset", required=True)
     p.add_argument("--decomp")
     p.add_argument("--coloring")
-    p.add_argument("--master-side", choices=["m", "w"], default="m")
+    p.add_argument("--master-side", choices=["m", "w"])
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_realize)
+    p.set_defaults(func=_cmd_realize, parser=p)
 
     p = sub.add_parser("analyze", help="rotations, digraph, range, decomposition width")
     p.add_argument("--instance", required=True)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--instance", nargs="+")
     inputs.add_argument("--dag")
     p.add_argument("--decomp")
-    p.set_defaults(func=_cmd_count)
+    p.set_defaults(func=_cmd_count, parser=p)
 
     p = sub.add_parser("sample", help="uniform stable matchings")
     p.add_argument("--instance", required=True)
@@ -337,10 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unread_options(args) -> None:
+    """A usage error, as argparse gives, for an option that the chosen input
+    or model would not read."""
+    if args.command == "count" and args.instance and args.decomp is not None:
+        args.parser.error("argument --decomp: not allowed with argument --instance")
+    if args.command == "realize":
+        for flag, given, model in (
+            ("--decomp", args.decomp, "range"),
+            ("--coloring", args.coloring, "generic"),
+            ("--master-side", args.master_side, "list2inf"),
+        ):
+            if given is not None and args.model != model:
+                args.parser.error(f"argument {flag}: not allowed with --model {args.model}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _refuse_unread_options(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

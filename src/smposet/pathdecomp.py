@@ -67,9 +67,14 @@ def _nice_steps(
     Between two bags, and after the last one, the vertices that leave are
     forgotten in sorted order and then the vertices that enter are inserted
     in sorted order. Each vertex holds a slot while it is in the bag; a freed
-    slot is reused by the next insert. Yields (v, vbit, size, umask, wmask)
-    per step: the vertex, its slot bit, the bag size for an insert (0 for a
-    forget), and the slot masks of its seen in- and out-neighbours.
+    slot is reused by the next insert. Yields (v, vbit, size, umask, wmask,
+    done) per step: the vertex, its slot bit, the bag size for an insert (0
+    for a forget), the slot masks of its seen in- and out-neighbours, and the
+    (vertex, slot bit) pairs of the bag vertices this step leaves with no
+    unseen neighbour, in ascending vertex order. After an insert they are
+    the vertices whose last neighbour it inserted, v included if it has no
+    unseen neighbour. A forget lists v only if no insert did, which happens
+    only in a decomposition that is not valid.
 
     The sequence is valid for the graph exactly when every inserted vertex is
     a vertex of the graph not inserted before, its seen neighbours are in its
@@ -79,6 +84,8 @@ def _nice_steps(
     slot: dict[int, int] = {}
     free: list[int] = []
     seen: set[int] = set()
+    # the number of unseen neighbours of the vertex in each slot
+    left: list[int] = []
     prev: frozenset[int] = frozenset()
     for bag in chain(bags, (frozenset(),)):
         delta = bag ^ prev
@@ -92,12 +99,14 @@ def _nice_steps(
             if v in slot:
                 s = slot.pop(v)
                 free.append(s)
-                yield v, 1 << s, 0, 0, 0
+                vbit = 1 << s
+                yield v, vbit, 0, 0, 0, ((v, vbit),) if left[s] else ()
                 continue
             if v not in in_adj:
                 raise ValidationError("decomposition is not valid for this graph")
             if v in seen:
                 raise ValidationError("invalid decomposition: vertex inserted twice")
+            done = []
             umask = 0
             for u in in_adj[v]:
                 if u in seen:
@@ -105,7 +114,12 @@ def _nice_steps(
                         raise ValidationError(
                             "invalid decomposition: seen in-neighbor outside bag"
                         )
-                    umask |= 1 << slot[u]
+                    s = slot[u]
+                    umask |= 1 << s
+                    k = left[s] - 1
+                    left[s] = k
+                    if not k:
+                        done.append((u, 1 << s))
             wmask = 0
             for w in out_adj[v]:
                 if w in seen:
@@ -113,11 +127,27 @@ def _nice_steps(
                         raise ValidationError(
                             "invalid decomposition: seen out-neighbor outside bag"
                         )
-                    wmask |= 1 << slot[w]
-            s = free.pop() if free else len(slot)
+                    s = slot[w]
+                    wmask |= 1 << s
+                    k = left[s] - 1
+                    left[s] = k
+                    if not k:
+                        done.append((w, 1 << s))
+            # the seen neighbours hold distinct slots
+            unseen = len(in_adj[v]) + len(out_adj[v]) - (umask | wmask).bit_count()
+            if free:
+                s = free.pop()
+                left[s] = unseen
+            else:
+                s = len(slot)
+                left.append(unseen)
             slot[v] = s
             seen.add(v)
-            yield v, 1 << s, len(bag), umask, wmask
+            vbit = 1 << s
+            if not unseen:
+                done.append((v, vbit))
+            done.sort()
+            yield v, vbit, len(bag), umask, wmask, done
     if len(seen) != len(in_adj):
         raise ValidationError("invalid decomposition: a vertex is in no bag")
 
@@ -143,7 +173,7 @@ def to_nice(g: Dag, x: PathDecomposition) -> PathDecomposition:
     """
     bags = []
     bag: frozenset[int] = frozenset()
-    for v, _vbit, size, _umask, _wmask in _nice_steps(x.bags, g.in_adj, g.out_adj):
+    for v, _vbit, size, _umask, _wmask, _done in _nice_steps(x.bags, g.in_adj, g.out_adj):
         bag = bag | {v} if size else bag - {v}
         bags.append(bag)
     return PathDecomposition(tuple(bags))

@@ -194,6 +194,35 @@ def merge_runs(rng, bags: list[frozenset[int]]) -> list[frozenset[int]]:
     return out
 
 
+def tight_nice_bags(g: Dag, x: PathDecomposition) -> list[frozenset[int]]:
+    """The nice bags of a valid decomposition x of g, with each vertex
+    dropped right after the insert of its last neighbour instead of where x
+    drops it. Between two bags of x the leaving vertices go first, then the
+    entering ones are inserted, each in sorted order; the vertices one insert
+    finishes are dropped in sorted order, the inserted vertex included.
+    """
+    nbrs = {v: set() for v in g.vertices()}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    inserted: set[int] = set()
+    cur: set[int] = set()
+    out = []
+    prev: frozenset[int] = frozenset()
+    for bag in list(x.bags) + [frozenset()]:
+        for v in sorted(prev - bag):
+            assert v in inserted and v not in cur, "x is not valid for g"
+        for v in sorted(bag - prev):
+            inserted.add(v)
+            cur.add(v)
+            out.append(frozenset(cur))
+            for u in sorted(u for u in cur if nbrs[u] <= inserted):
+                cur.discard(u)
+                out.append(frozenset(cur))
+        prev = bag
+    return out
+
+
 def stable_matchings_by_permutation_scan(inst: Instance) -> list[Matching]:
     """Oracle independent of the rotation machinery: filter every perfect
     matching by the blocking-pair predicate. Complete square instances only.

@@ -407,6 +407,56 @@ def test_instance_and_dag_together_are_a_usage_error(workdir, capsys):
     assert run(capsys, "oracle", "count")[0] == 2  # no input given
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("count", "--instance", "{dir}/example_rotation_poset.sm", "--decomp", "{dir}/none.pd"),
+         "argument --decomp: not allowed with argument --instance"),
+        (("count", "--decomp", "{dir}/none.pd", "--instance", "{dir}/example_rotation_poset.sm"),
+         "argument --decomp: not allowed with argument --instance"),
+    ] + [
+        (("realize", "--model", model, "--poset", "{dir}/diamond.dag", flag, value,
+          "-o", "{dir}/a.sm"),
+         f"argument {flag}: not allowed with --model {model}")
+        for flag, value, reader in (
+            ("--decomp", "{dir}/none.pd", "range"),
+            ("--coloring", "{dir}/none.txt", "generic"),
+            ("--master-side", "m", "list2inf"),
+        )
+        for model in ("generic", "complete", "bounded3", "attr6", "list2inf", "range")
+        if model != reader
+    ],
+)
+def test_options_the_command_would_not_read_are_usage_errors(workdir, capsys, argv, message):
+    # refused before any file is read or written
+    code, out, err = run(capsys, *(a.format(dir=workdir) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.endswith(f": error: {message}\n")
+    assert not (workdir / "a.sm").exists()
+
+
+def test_list2inf_master_side_defaults_to_men(workdir, capsys):
+    outs = []
+    for extra in ((), ("--master-side", "m"), ("--master-side", "w")):
+        out_path = workdir / f"l{len(outs)}.sm"
+        code, _, _ = run(
+            capsys, "realize", "--model", "list2inf", "--poset", workdir / "diamond.dag",
+            *extra, "-o", out_path,
+        )
+        assert code == 0
+        outs.append((out_path.read_text(), Path(f"{out_path}.masters").read_text()))
+    assert outs[0] == outs[1] != outs[2]
+
+
+def test_count_dag_antichain_in_one_bag(workdir, capsys):
+    # every vertex is forgotten right after its insert, so the table never
+    # holds more than two states; counting each bag slot would need 2^25
+    dag, pd = workdir / "anti25.dag", workdir / "anti25.pd"
+    dag.write_text("DAG 25 0\n")
+    pd.write_text("PD 1\n" + " ".join(map(str, range(1, 26))) + "\n")
+    assert run(capsys, "count", "--dag", dag, "--decomp", pd) == (0, "33554432\n", "")
+
+
 def test_realize_output_reparses_and_verifies(workdir, capsys):
     out_path = workdir / "again.sm"
     code, _, _ = run(

@@ -25,6 +25,7 @@ from conftest import (
     random_dag,
     random_nice_bags,
     reachable_from,
+    tight_nice_bags,
     validate_by_rescan,
 )
 
@@ -148,8 +149,8 @@ def test_count_width_cap(monkeypatch):
 
 def test_width_cap_refuses_one_bag_ladder():
     # the chain ladder i -> i+1, i+2, i+3 has only n+1 downsets, so the state
-    # cap never fires on it; given as one bag, each of its 2n steps would
-    # update n+1 states, and only the width cap refuses it, at once
+    # cap never fires on it; the width cap reads the bag size, not the live
+    # width (4 here), and refuses it at once
     n = 2000
     g = Dag(n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
     x = PathDecomposition.of([range(1, n + 1)])
@@ -158,15 +159,30 @@ def test_width_cap_refuses_one_bag_ladder():
 
 
 def test_count_state_cap(monkeypatch):
-    # a bag within the width cap whose table would still pass the state cap
+    # a bag within the width cap whose live table would still pass the state
+    # cap: twelve sources stay live until their common sink is inserted
+    from smposet import downsets
+
+    monkeypatch.setattr(downsets, "MAX_STATES", 1 << 8)
+    g = Dag(13, [(i, 13) for i in range(1, 13)])
+    x = PathDecomposition.of([set(range(1, 14))])
+    with pytest.raises(CapExceededError, match="512 DP states exceed cap 256"):
+        count_downsets(g, x)
+    assert count_downsets(Dag(8, []), PathDecomposition.of([set(range(1, 9))])) == 256
+
+
+def test_count_antichain_in_one_bag_under_state_cap(monkeypatch):
+    # each vertex of an antichain is forgotten as soon as it is inserted, so
+    # one bag of 12 never holds more than two states
     from smposet import downsets
 
     monkeypatch.setattr(downsets, "MAX_STATES", 1 << 8)
     g = Dag(12, [])
     x = PathDecomposition.of([set(range(1, 13))])
-    with pytest.raises(CapExceededError, match="512 DP states exceed cap 256"):
-        count_downsets(g, x)
-    assert count_downsets(Dag(8, []), PathDecomposition.of([set(range(1, 9))])) == 256
+    assert count_downsets(g, x) == 4096
+    steps = downsets._dp(x.bags, g.in_adj, g.out_adj)
+    sizes = [(v, inserted, len(t)) for v, _vbit, inserted, t in steps]
+    assert sizes == [(v, ins, 2 if ins else 1) for v in range(1, 13) for ins in (True, False)]
 
 
 def test_descendants_chain():
@@ -314,19 +330,127 @@ def parent_dp(bags, in_adj, out_adj):
         yield v, vbit, bool(size), table
 
 
-def test_dp_matches_reference_step_by_step(monkeypatch):
-    # every step's table, items in order, and every refusal with its message,
-    # on valid, corrupted, merged and capped decompositions
+@pytest.fixture()
+def five_field_walker(monkeypatch):
+    # parent_dp unpacks the five fields the walker yielded before it also
+    # yielded the vertices each insert finishes; `_dp` imported its own
+    from smposet import pathdecomp
+
+    walker = pathdecomp._nice_steps
+    monkeypatch.setattr(
+        pathdecomp, "_nice_steps", lambda *args: (step[:5] for step in walker(*args))
+    )
+
+
+def _steps(dp, g, bags):
+    """Every step of dp over bags, items in order, and the refusal that ended
+    the pass with the number of inserts done before it, if any."""
+    steps = []
+    try:
+        for v, vbit, inserted, table in dp(bags, g.in_adj, g.out_adj):
+            steps.append((v, vbit, inserted, list(table.items())))
+    except (ValidationError, CapExceededError) as exc:
+        return steps, (type(exc), str(exc), sum(s[2] for s in steps))
+    return steps, None
+
+
+def _total(steps):
+    return sum(c for _a, c in steps[-1][3]) if steps else 1
+
+
+def _by_vertex_sets(steps):
+    """The steps with each table key spelled as the sorted live vertices
+    whose slot bits it sets, so that runs with other slots compare."""
+    holder: dict[int, int] = {}
+    out = []
+    for v, vbit, inserted, items in steps:
+        if inserted:
+            holder[vbit] = v
+        keys = [tuple(sorted(u for b, u in holder.items() if a & b)) for a, _c in items]
+        out.append((v, inserted, [(k, c) for k, (_a, c) in zip(keys, items)]))
+    return out
+
+
+def test_dp_matches_reference_on_tight_cuts(five_field_walker):
+    # a vertex-separation cut drops each vertex right after its last
+    # neighbour's insert already, so early forgets change no step, slot or
+    # table: random DAGs cut along shuffled orders, and the cuts of
+    # `_prepare` on random instances, complete and incomplete
+    from smposet import downsets
+    from smposet.fairness import _prepare
+    from smposet.pathdecomp import _layout_bags
+
+    from conftest import random_complete_instance, random_incomplete_instance
+
+    rng = random.Random(163)
+    cases = []
+    for _ in range(400):
+        g = random_dag(rng, rng.randint(0, 12), rng.choice([0.15, 0.3, 0.5]))
+        cases.append((g, _layout_bags(g, rng.sample(list(g.vertices()), g.p))))
+    for _ in range(100):
+        inst = random_complete_instance(rng, rng.randint(2, 9))
+        cases.append(_prepare(inst)[1:])
+        inst = random_incomplete_instance(rng, rng.randint(1, 7), rng.randint(1, 7))
+        cases.append(_prepare(inst)[1:])
+    walked = 0
+    for g, x in cases:
+        want, refusal = _steps(parent_dp, g, x.bags)
+        assert refusal is None
+        assert _steps(downsets._dp, g, x.bags) == (want, None)
+        walked += len(want) > 4
+    assert walked > 250
+
+
+def test_dp_matches_reference_on_tight_nice_bags(five_field_walker):
+    # on any valid decomposition the DP takes the steps of the reference DP
+    # over the same nice bags with every vertex dropped right after its last
+    # neighbour's insert; slots differ, since the DP keeps a forgotten
+    # vertex's slot until the decomposition drops it
     from smposet import downsets
 
-    def run(dp, g, x):
-        steps = []
-        try:
-            for v, vbit, inserted, table in dp(x.bags, g.in_adj, g.out_adj):
-                steps.append((v, vbit, inserted, list(table.items())))
-        except (ValidationError, CapExceededError) as exc:
-            return steps, (type(exc), str(exc))
-        return steps, None
+    rng = random.Random(167)
+    smaller = 0
+    for _ in range(600):
+        g = random_dag(rng, rng.randint(0, 9), rng.choice([0.2, 0.4, 0.6]))
+        bags = random_nice_bags(rng, g)
+        if rng.random() < 0.5:
+            bags = merge_runs(rng, bags)
+        if rng.random() < 0.3:
+            # a vertex kept to the end: the decomposition stays valid
+            v = rng.randint(1, max(g.p, 1))
+            first = next((i for i, b in enumerate(bags) if v in b), len(bags))
+            bags = bags[:first] + [b | {v} for b in bags[first:]]
+        x = PathDecomposition(tuple(bags))
+        assert validate_by_rescan(g, x)
+        got, refusal = _steps(downsets._dp, g, x.bags)
+        want, want_refusal = _steps(parent_dp, g, tuple(tight_nice_bags(g, x)))
+        assert refusal is None and want_refusal is None
+        assert _by_vertex_sets(got) == _by_vertex_sets(want)
+        widest = max((len(t) for _v, _b, _i, t in _steps(parent_dp, g, x.bags)[0]), default=0)
+        smaller += max((len(t) for _v, _b, _i, t in got), default=0) < widest
+    assert smaller > 60
+
+
+def test_dp_forgets_a_vertex_dropped_before_its_last_neighbour(monkeypatch, five_field_walker):
+    # a decomposition that is not valid may drop a vertex whose neighbour is
+    # still to come; the DP forgets it there, as the reference does, so the
+    # slot it frees holds no stale bit and the pass ends in the same refusal
+    from smposet import downsets
+
+    monkeypatch.setattr(downsets, "MAX_STATES", 2)
+    g = Dag(3, [(1, 2)])
+    bags = (frozenset({1}), frozenset({3}), frozenset({2, 3}))
+    message = "invalid decomposition: seen in-neighbor outside bag"
+    want = _steps(parent_dp, g, bags)[1]
+    assert want == (ValidationError, message, 2)
+    assert _steps(downsets._dp, g, bags)[1] == want
+
+
+def test_dp_refuses_what_the_reference_refuses(monkeypatch, five_field_walker):
+    # on valid, corrupted, merged and capped decompositions: the same count
+    # wherever the reference counted, the same ValidationError and bag size
+    # refusal, and a state cap refusal never at an earlier insert
+    from smposet import downsets
 
     rng = random.Random(157)
     outcomes = Counter()
@@ -344,7 +468,20 @@ def test_dp_matches_reference_step_by_step(monkeypatch):
         monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", rng.randint(1, 4) if capped else 30)
         monkeypatch.setattr(downsets, "MAX_STATES", rng.choice([4, 8, 16]) if capped else 1 << 20)
         x = PathDecomposition(tuple(bags))
-        want = run(parent_dp, g, x)
-        assert run(downsets._dp, g, x) == want
-        outcomes[want[1][0].__name__ if want[1] else "counted"] += 1
-    assert min(outcomes.values()) > 200 and len(outcomes) == 3
+        want_steps, want = _steps(parent_dp, g, x.bags)
+        got_steps, got = _steps(downsets._dp, g, x.bags)
+        if want is None or got is None:
+            assert got is None
+            assert want is None or "DP states" in want[1]
+            if want is None:
+                assert _total(got_steps) == _total(want_steps)
+            outcomes["answered" if want else "counted"] += 1
+        elif "DP states" in want[1]:
+            assert got[2] >= want[2]
+            outcomes["state cap"] += 1
+        else:
+            assert got == want
+            outcomes[want[0].__name__ if want[0] is ValidationError else "width cap"] += 1
+        if got and "DP states" in got[1]:
+            assert want and "DP states" in want[1] and want[2] <= got[2]
+    assert min(outcomes[k] for k in ("counted", "ValidationError", "width cap", "state cap")) > 50
