@@ -3,11 +3,23 @@ decompositions and edge colorings. ``#`` starts a comment that runs to the
 end of the line. Lines are stripped, lines holding only a comment are
 dropped, and blank lines are kept as "" for the reader to skip or, in a
 decomposition, to read as an empty bag. A header is the first non-blank
-line, ``TAG <count>...``.
+line, ``TAG <count>...``. The two graph readers map vertex ids to ints
+through one `VertexIds` table each.
 """
 from __future__ import annotations
 
 from .errors import ParseError
+
+
+class VertexIds(dict):
+    """Vertex id token -> int, made on first lookup, so a graph reader keeps
+    one int per vertex however many edges or bags name it. `int` raises
+    ValueError on a token that is not an integer.
+    """
+
+    def __missing__(self, token: str) -> int:
+        self[token] = v = int(token)
+        return v
 
 
 def lines(text: str) -> list[str]:

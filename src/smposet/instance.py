@@ -99,10 +99,14 @@ class Instance:
         for side, labels in ((MAN, self.men_labels), (WOMAN, self.women_labels)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate label on side {side!r}")
+        # one int per rank, shared by every list: ranks above 256 are not
+        # cached by Python, so each list would otherwise hold its own
+        longest = max(map(len, self.men_prefs + self.women_prefs), default=0)
+        ranks = tuple(range(1, longest + 1))
         men_rank = []
         listed_by = [0] * self.n_women  # how many men list each woman
         for m, lst in enumerate(self.men_prefs):
-            rank = {w: r for r, w in enumerate(lst, 1)}
+            rank = dict(zip(lst, ranks))
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.men_labels[m]}'s list")
             for w in lst:
@@ -112,7 +116,7 @@ class Instance:
             men_rank.append(rank)
         women_rank = []
         for w, lst in enumerate(self.women_prefs):
-            rank = {m: r for r, m in enumerate(lst, 1)}
+            rank = dict(zip(lst, ranks))
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.women_labels[w]}'s list")
             for m in lst:
@@ -183,7 +187,7 @@ def parse_instance(text: str) -> Instance:
     if found != n_men + n_women:
         raise ParseError(f"expected {n_men + n_women} agent lines, found {found}")
     labels: list[str] = []
-    tokens: list[list[str]] = []
+    rests: list[str] = []  # split one at a time below, never all at once
     for line in body:
         if not line:
             continue
@@ -194,7 +198,7 @@ def parse_instance(text: str) -> Instance:
         if not name:
             raise ParseError(f"missing agent name in line {line!r}")
         labels.append(name)
-        tokens.append(rest.split())
+        rests.append(rest)
     men_labels, women_labels = labels[:n_men], labels[n_men:]
     for name in men_labels:
         if not name.startswith(MAN):
@@ -207,10 +211,10 @@ def parse_instance(text: str) -> Instance:
     if len(man_idx) != n_men or len(woman_idx) != n_women:
         raise ParseError("duplicate agent name")
     prefs = []
-    for i, (name, toks) in enumerate(zip(labels, tokens)):
+    for i, (name, rest) in enumerate(zip(labels, rests)):
         table = woman_idx if i < n_men else man_idx
         try:
-            prefs.append([table[tok] for tok in toks])
+            prefs.append(list(map(table.__getitem__, rest.split())))
         except KeyError as exc:
             raise ParseError(f"{name} ranks unknown agent {exc.args[0]!r}") from None
     try:

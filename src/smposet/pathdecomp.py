@@ -317,9 +317,10 @@ def parse_decomposition(text: str) -> PathDecomposition:
     if len(body) != count:
         raise ParseError(f"expected {count} bag lines, found {len(body)}")
     bags = []
+    ids = _text.VertexIds()
     for line in body:
         try:
-            bags.append(frozenset(map(int, line.split())))
+            bags.append(frozenset(map(ids.__getitem__, line.split())))
         except ValueError:
             raise ParseError(f"bad bag line: {line!r}") from None
     return PathDecomposition(tuple(bags))

@@ -283,7 +283,7 @@ def parse_dag(text: str) -> Dag:
         raise ParseError(f"expected {q} edge lines, found {found}")
     edges = []
     colors = {}
-    ids: dict[str, int] = {}  # one int per vertex id, shared by all its edges
+    ids = _text.VertexIds()
     for line in body:
         if not line:
             continue
@@ -291,8 +291,8 @@ def parse_dag(text: str) -> Dag:
         if len(parts) not in (2, 3):
             raise ParseError(f"bad edge line: {line!r}")
         try:
-            u = ids.get(parts[0]) or ids.setdefault(parts[0], int(parts[0]))
-            v = ids.get(parts[1]) or ids.setdefault(parts[1], int(parts[1]))
+            u = ids[parts[0]]
+            v = ids[parts[1]]
         except ValueError:
             raise ParseError(f"bad edge line: {line!r}") from None
         edges.append((u, v))

@@ -205,6 +205,18 @@ def test_format_round_trip_random():
         assert parse_instance(format_instance(inst)) == inst
 
 
+def test_ranks_above_256_built_and_parsed():
+    # at n=300 most ranks are ints Python does not cache
+    built = random_complete_instance(random.Random(12), 300)
+    parsed = parse_instance(format_instance(built))
+    assert parsed == built
+    for inst in (built, parsed):
+        for prefs, ranks in ((inst.men_prefs, inst.men_rank), (inst.women_prefs, inst.women_rank)):
+            for lst, rank in zip(prefs, ranks):
+                assert rank == {x: r for r, x in enumerate(lst, 1)}
+                assert list(rank) == list(lst)
+
+
 def test_gale_shapley_example(example_instance):
     assert gale_shapley(example_instance, MAN) == MU0
     assert gale_shapley(example_instance, WOMAN) == MU3
