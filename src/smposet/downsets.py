@@ -1,17 +1,19 @@
 """Counting, exactly uniform sampling and per-vertex marginals of the
-downsets of a DAG, all from one table DP (`_dp`) over a path decomposition.
+downsets of a DAG, all from one table DP (`_dp`) over an insert order.
 Counting keeps no tables; sampling and marginals keep the table before each
 forget step and walk the steps backward over them.
 
-The DP forgets each vertex as soon as its last neighbour is inserted, so
-its tables span only the live vertices of a bag: it runs in O(2^s s n) for
-s the vertex separation of the insert order (Kinnersley 1992), which is at
-most the width w of the decomposition.
+The DP inserts the vertices in the given order and forgets each vertex as
+soon as its last neighbour is inserted, so its tables span only the live
+vertices: it runs in O(2^s s n) for s the vertex separation of the order
+(Kinnersley 1992). Its width cap reads the live vertices.
 
-The DP reads any bag sequence: `pathdecomp._nice_steps` expands it into
-nice steps, each inserting or forgetting one vertex, and checks it in the
-same pass, so the DP raises ValidationError exactly when the sequence is not
-a valid path decomposition of g.
+The public calls take any bag sequence and validate it first: they walk
+all of `pathdecomp._nice_steps`, which raises ValidationError unless the
+sequence is a valid path decomposition of g, and run the DP over the order
+in which it inserts the vertices. A valid decomposition of width w gives an
+order of vertex separation at most w, and an invalid one is refused before
+any DP step, whatever the caps.
 
 Counts are plain Python ints, so they are exact at any size.
 """
@@ -23,62 +25,89 @@ from .errors import CapExceededError, ValidationError
 from .pathdecomp import PathDecomposition, _nice_steps
 from .posets import Dag
 
-# A wide bag is refused even when its table stays small. The chain
-# 1 -> 2 -> ... -> n-1 with an edge from each of its vertices to n, given as
-# one bag, keeps every vertex live until n is inserted: its tables hold at
-# most n+1 states, but each step updates them all with masks of up to n
-# bits, so MAX_STATES never stops it. With this cap lifted it took 0.78 s
-# at n=1000 and 4.7 s at n=2000 on a shared 2-CPU machine. The cap reads the
-# bag size, not the live width: a one-bag width-3 ladder, whose live width
-# is 4, took 0.02 s at n=2000 and is refused all the same.
+# Many live vertices are refused even when the table stays small. The chain
+# 1 -> 2 -> ... -> n-1 with an edge from each of its vertices to n keeps
+# every vertex live until n is inserted: its tables hold at most n+1 states,
+# but each step updates them all with masks of up to n bits, so MAX_STATES
+# never stops it. With this cap lifted it took 0.78 s at n=1000 and 4.7 s
+# at n=2000 on a shared 2-CPU machine.
 HARD_WIDTH_CAP = 30
 # an insert can double the table, so it is refused when twice it would pass this
 MAX_STATES = 1 << 20
 
 
 def _dp(
-    bags: tuple[frozenset[int], ...],
+    order: list[int],
     in_adj: dict[int, tuple[int, ...]],
     out_adj: dict[int, tuple[int, ...]],
 ):
-    """The table update loop over the steps of `_nice_steps`, which checks
-    the decomposition. Yields (v, vbit, inserted, table) per step: the
+    """The table update loop over an insert order, which must hold each
+    vertex of in_adj once. Yields (v, vbit, inserted, table) per step: the
     vertex, its slot bit, whether it was inserted, and the new table. A table
-    maps a bitmask over bag slots to the number of downsets of the seen
-    subgraph that intersect the bag exactly there.
+    maps a bitmask over the slots of the live vertices to the number of
+    downsets of the inserted subgraph that meet them exactly there.
 
     A vertex whose neighbours are all inserted constrains no later step, so
-    it is forgotten right after the insert that finished it: the walker
-    lists those vertices with each step, and the DP forgets exactly the
-    listed ones, in that order. The walker's own forget step for such a
-    vertex comes later and lists nothing, so it changes no table and yields
-    nothing. The tables then span only the live vertices of the bag.
+    it is forgotten right after the insert that finished it, in ascending
+    vertex order, and frees its slot for a later insert. A seen neighbour of
+    an unseen vertex is therefore still live, so the slots tell live
+    neighbours from unseen ones.
 
-    Raises CapExceededError at an insert into a bag wider than
-    HARD_WIDTH_CAP, or one whose table could pass MAX_STATES.
+    Raises CapExceededError at an insert that would make more than
+    HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
     """
     width_cap = HARD_WIDTH_CAP
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    # the number of unseen neighbours of the vertex in each slot
+    left: dict[int, int] = {}
     table: dict[int, int] = {0: 1}
-    for v, vbit, size, umask, wmask, done in _nice_steps(bags, in_adj, out_adj):
-        if size:
-            # at the first insert of a wide bag, before its table grows
-            if size > width_cap + 1:
-                raise CapExceededError(f"bag size {size} exceeds width cap {width_cap}")
-            if 2 * len(table) > MAX_STATES:
-                raise CapExceededError(
-                    f"{2 * len(table)} DP states exceed cap {MAX_STATES}"
-                )
-            # slot vbit is free in every key, so no two writes meet and no
-            # count is copied by adding it to 0
-            new: dict[int, int] = {}
-            for a, c in table.items():
-                if not a & wmask:
-                    new[a] = c
-                if a & umask == umask:
-                    new[a | vbit] = c
-            table = new
-            yield v, vbit, True, table
-        for u, ubit in done:
+    for v in order:
+        live = len(slot) + 1
+        if live > width_cap + 1:
+            raise CapExceededError(f"{live} live vertices exceed width cap {width_cap}")
+        if 2 * len(table) > MAX_STATES:
+            raise CapExceededError(f"{2 * len(table)} DP states exceed cap {MAX_STATES}")
+        done = []
+        umask = 0
+        for u in in_adj[v]:
+            s = slot.get(u)
+            if s is not None:
+                umask |= 1 << s
+                left[s] -= 1
+                if not left[s]:
+                    done.append(u)
+        wmask = 0
+        for w in out_adj[v]:
+            s = slot.get(w)
+            if s is not None:
+                wmask |= 1 << s
+                left[s] -= 1
+                if not left[s]:
+                    done.append(w)
+        # the live neighbours hold distinct slots
+        unseen = len(in_adj[v]) + len(out_adj[v]) - (umask | wmask).bit_count()
+        s = free.pop() if free else len(slot)
+        left[s] = unseen
+        slot[v] = s
+        vbit = 1 << s
+        # slot vbit is free in every key, so no two writes meet and no
+        # count is copied by adding it to 0
+        new: dict[int, int] = {}
+        for a, c in table.items():
+            if not a & wmask:
+                new[a] = c
+            if a & umask == umask:
+                new[a | vbit] = c
+        table = new
+        yield v, vbit, True, table
+        if not unseen:
+            done.append(v)
+        done.sort()
+        for u in done:
+            s = slot.pop(u)
+            free.append(s)
+            ubit = 1 << s
             new = {}
             for a, c in table.items():
                 key = a & ~ubit
@@ -87,16 +116,22 @@ def _dp(
             yield u, ubit, False, table
 
 
+def _insert_order(g: Dag, x: PathDecomposition) -> list[int]:
+    """The vertices of g in the order the nice steps of x insert them, after
+    checking all of x: raises ValidationError unless x is valid for g.
+    """
+    return [v for v, inserted in _nice_steps(x.bags, g.in_adj, g.out_adj) if inserted]
+
+
 def count_downsets(g: Dag, x: PathDecomposition) -> int:
     """Number of downsets of g, computed over any valid path decomposition in
-    time O(2^s s n) for s its live width, at most its width w. The same pass
-    checks the decomposition and raises ValidationError unless it is valid
-    for g; a bag wider than HARD_WIDTH_CAP, or a table that could pass
-    MAX_STATES, raises CapExceededError when the pass reaches it, before any
-    fault in a later step is seen.
+    time O(2^s s n) for s the vertex separation of its insert order, at most
+    its width w. Raises ValidationError unless x is valid for g, before any
+    DP step; then CapExceededError at an insert that would make more than
+    HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
     """
     table = {0: 1}
-    for _v, _vbit, _inserted, table in _dp(x.bags, g.in_adj, g.out_adj):
+    for _v, _vbit, _inserted, table in _dp(_insert_order(g, x), g.in_adj, g.out_adj):
         pass
     return sum(table.values())
 
@@ -107,7 +142,7 @@ def _forward(g: Dag, x: PathDecomposition):
     """
     steps = []
     before = {0: 1}
-    for v, vbit, inserted, table in _dp(x.bags, g.in_adj, g.out_adj):
+    for v, vbit, inserted, table in _dp(_insert_order(g, x), g.in_adj, g.out_adj):
         steps.append((v, vbit, inserted, None if inserted else before))
         before = table
     return steps, sum(before.values())

@@ -3,8 +3,10 @@ decomposition of rotation digraphs, an exact pathwidth solver for tiny
 graphs, and the file format, whose comments and header follow `_text`.
 
 `_nice_steps` is the one place that expands a bag sequence into nice steps
-and decides whether it is valid for a graph; validation, nice form, the
-downset DP and `realize_range` all walk its steps.
+and decides whether it is valid for a graph. It only checks: it yields each
+step's vertex and whether it is inserted, and keeps no DP bookkeeping.
+Validation, nice form and `realize_range` walk its steps, and the downset
+DP walks them to the end first and then runs over the insert order.
 """
 from __future__ import annotations
 
@@ -66,26 +68,17 @@ def _nice_steps(
 
     Between two bags, and after the last one, the vertices that leave are
     forgotten in sorted order and then the vertices that enter are inserted
-    in sorted order. Each vertex holds a slot while it is in the bag; a freed
-    slot is reused by the next insert. Yields (v, vbit, size, umask, wmask,
-    done) per step: the vertex, its slot bit, the bag size for an insert (0
-    for a forget), the slot masks of its seen in- and out-neighbours, and the
-    (vertex, slot bit) pairs of the bag vertices this step leaves with no
-    unseen neighbour, in ascending vertex order. After an insert they are
-    the vertices whose last neighbour it inserted, v included if it has no
-    unseen neighbour. A forget lists v only if no insert did, which happens
-    only in a decomposition that is not valid.
+    in sorted order. Yields (v, inserted) per step.
 
     The sequence is valid for the graph exactly when every inserted vertex is
-    a vertex of the graph not inserted before, its seen neighbours are in its
-    bag, and every vertex is inserted by the end. Raises ValidationError at
-    the first step that breaks this, or after the last step.
+    a vertex of the graph not inserted before, none of its neighbours has
+    left the bag already, and every vertex is inserted by the end. Raises
+    ValidationError at the first step that breaks this, or after the last
+    step.
     """
-    slot: dict[int, int] = {}
-    free: list[int] = []
-    seen: set[int] = set()
-    # the number of unseen neighbours of the vertex in each slot
-    left: list[int] = []
+    # the vertices that have left the bag: a seen vertex is outside the bag
+    # exactly when it is in here
+    gone: set[int] = set()
     prev: frozenset[int] = frozenset()
     for bag in chain(bags, (frozenset(),)):
         delta = bag ^ prev
@@ -96,59 +89,20 @@ def _nice_steps(
             delta = sorted(prev - bag) + sorted(bag - prev)
         prev = bag
         for v in delta:
-            if v in slot:
-                s = slot.pop(v)
-                free.append(s)
-                vbit = 1 << s
-                yield v, vbit, 0, 0, 0, ((v, vbit),) if left[s] else ()
+            if v not in bag:
+                gone.add(v)
+                yield v, False
                 continue
             if v not in in_adj:
                 raise ValidationError("decomposition is not valid for this graph")
-            if v in seen:
+            if v in gone:
                 raise ValidationError("invalid decomposition: vertex inserted twice")
-            done = []
-            umask = 0
-            for u in in_adj[v]:
-                if u in seen:
-                    if u not in slot:
-                        raise ValidationError(
-                            "invalid decomposition: seen in-neighbor outside bag"
-                        )
-                    s = slot[u]
-                    umask |= 1 << s
-                    k = left[s] - 1
-                    left[s] = k
-                    if not k:
-                        done.append((u, 1 << s))
-            wmask = 0
-            for w in out_adj[v]:
-                if w in seen:
-                    if w not in slot:
-                        raise ValidationError(
-                            "invalid decomposition: seen out-neighbor outside bag"
-                        )
-                    s = slot[w]
-                    wmask |= 1 << s
-                    k = left[s] - 1
-                    left[s] = k
-                    if not k:
-                        done.append((w, 1 << s))
-            # the seen neighbours hold distinct slots
-            unseen = len(in_adj[v]) + len(out_adj[v]) - (umask | wmask).bit_count()
-            if free:
-                s = free.pop()
-                left[s] = unseen
-            else:
-                s = len(slot)
-                left.append(unseen)
-            slot[v] = s
-            seen.add(v)
-            vbit = 1 << s
-            if not unseen:
-                done.append((v, vbit))
-            done.sort()
-            yield v, vbit, len(bag), umask, wmask, done
-    if len(seen) != len(in_adj):
+            if not gone.isdisjoint(in_adj[v]):
+                raise ValidationError("invalid decomposition: seen in-neighbor outside bag")
+            if not gone.isdisjoint(out_adj[v]):
+                raise ValidationError("invalid decomposition: seen out-neighbor outside bag")
+            yield v, True
+    if len(gone) != len(in_adj):
         raise ValidationError("invalid decomposition: a vertex is in no bag")
 
 
@@ -173,8 +127,8 @@ def to_nice(g: Dag, x: PathDecomposition) -> PathDecomposition:
     """
     bags = []
     bag: frozenset[int] = frozenset()
-    for v, _vbit, size, _umask, _wmask, _done in _nice_steps(x.bags, g.in_adj, g.out_adj):
-        bag = bag | {v} if size else bag - {v}
+    for v, inserted in _nice_steps(x.bags, g.in_adj, g.out_adj):
+        bag = bag | {v} if inserted else bag - {v}
         bags.append(bag)
     return PathDecomposition(tuple(bags))
 

@@ -16,13 +16,16 @@ from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
 
 
-def _adjacency(p: int, pairs: Iterable[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    """Each vertex 1..p mapped to the ys of the pairs (x, y) with x equal to
-    it, in order; pairs come grouped by x. Only one run is a list at a time,
-    so the garbage collector does not rescan p live lists: at p = 1e5 those
-    rescans took about half of the time to build a Dag.
+def _adjacency(
+    keys: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> dict[int, tuple[int, ...]]:
+    """Each of the vertex keys mapped to the ys of the pairs (x, y) with x
+    equal to it, in order; pairs come grouped by x. A key keeps its int
+    object when its value is set. Only one run is a list at a time, so the
+    garbage collector does not rescan p live lists: at p = 1e5 those rescans
+    took about half of the time to build a Dag.
     """
-    adj: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, p + 1), ())
+    adj: dict[int, tuple[int, ...]] = dict.fromkeys(keys, ())
     key, run = None, []
     for x, y in pairs:
         if x != key:
@@ -69,10 +72,11 @@ class Dag:
             if e not in edge_set:
                 raise ValidationError(f"color assigned to missing edge {e}")
         del edge_set  # not held while the adjacency is built
-        self.out_adj = _adjacency(self.p, edge_list)
-        # the sort is stable, so tails stay ascending within each head
+        self.out_adj = _adjacency(range(1, self.p + 1), edge_list)
+        # the sort is stable, so tails stay ascending within each head; the
+        # keys of out_adj serve again, so each vertex id is one key int
         by_head = sorted(edge_list, key=itemgetter(1))
-        self.in_adj = _adjacency(self.p, ((v, u) for u, v in by_head))
+        self.in_adj = _adjacency(self.out_adj, ((v, u) for u, v in by_head))
         _topological_order(self)  # raises on a cycle
 
     @cached_property

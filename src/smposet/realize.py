@@ -379,8 +379,8 @@ def realize_range(h: Dag, x: PathDecomposition) -> Instance:
     last: dict[int, int] = {}
     try:
         steps = _nice_steps(x.bags, h.in_adj, h.out_adj)
-        for i, (v, _vbit, size, _umask, _wmask, _done) in enumerate(steps, start=1):
-            if size:
+        for i, (v, inserted) in enumerate(steps, start=1):
+            if inserted:
                 first[v] = i
             else:
                 last[v] = i - 1

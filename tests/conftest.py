@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import itertools
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from smposet import (
+    CapExceededError,
     Dag,
     Instance,
     Matching,
     PathDecomposition,
+    ValidationError,
     blocking_pairs,
     transitive_closure,
 )
@@ -221,6 +224,93 @@ def tight_nice_bags(g: Dag, x: PathDecomposition) -> list[frozenset[int]]:
                 out.append(frozenset(cur))
         prev = bag
     return out
+
+
+def five_field_nice_steps(bags, in_adj, out_adj):
+    """Frozen copy of the nice-step walker from before the downset DP forgot
+    vertices early, when it also held the DP's slots. Yields (v, vbit, size,
+    umask, wmask) per step: the vertex, its slot bit, the bag size for an
+    insert (0 for a forget), and the slot masks of its seen in- and
+    out-neighbours. Raises the ValidationError messages of
+    `pathdecomp._nice_steps` at the same steps.
+    """
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    seen: set[int] = set()
+    prev: frozenset[int] = frozenset()
+    for bag in chain(bags, (frozenset(),)):
+        delta = bag ^ prev
+        if len(delta) > 1:
+            # before sorting, so that a bag holding "a" is not a TypeError
+            if not in_adj.keys() >= delta:
+                raise ValidationError("decomposition is not valid for this graph")
+            delta = sorted(prev - bag) + sorted(bag - prev)
+        prev = bag
+        for v in delta:
+            if v in slot:
+                s = slot.pop(v)
+                free.append(s)
+                yield v, 1 << s, 0, 0, 0
+                continue
+            if v not in in_adj:
+                raise ValidationError("decomposition is not valid for this graph")
+            if v in seen:
+                raise ValidationError("invalid decomposition: vertex inserted twice")
+            umask = 0
+            for u in in_adj[v]:
+                if u in seen:
+                    if u not in slot:
+                        raise ValidationError(
+                            "invalid decomposition: seen in-neighbor outside bag"
+                        )
+                    umask |= 1 << slot[u]
+            wmask = 0
+            for w in out_adj[v]:
+                if w in seen:
+                    if w not in slot:
+                        raise ValidationError(
+                            "invalid decomposition: seen out-neighbor outside bag"
+                        )
+                    wmask |= 1 << slot[w]
+            s = free.pop() if free else len(slot)
+            slot[v] = s
+            seen.add(v)
+            yield v, 1 << s, len(bag), umask, wmask
+    if len(seen) != len(in_adj):
+        raise ValidationError("invalid decomposition: a vertex is in no bag")
+
+
+def parent_dp(bags, in_adj, out_adj):
+    """Reference downset DP: the table loop from before early forgets, over
+    `five_field_nice_steps`, reading the caps from `smposet.downsets`. Its
+    width cap reads the bag size, and it forgets a vertex where the
+    decomposition drops it. Yields (v, vbit, inserted, table) per step.
+    """
+    from smposet import downsets
+
+    width_cap = downsets.HARD_WIDTH_CAP
+    table: dict[int, int] = {0: 1}
+    for v, vbit, size, umask, wmask in five_field_nice_steps(bags, in_adj, out_adj):
+        new: dict[int, int] = {}
+        if size:
+            # at the first insert of a wide bag, before its table grows
+            if size > width_cap + 1:
+                raise CapExceededError(f"bag size {size} exceeds width cap {width_cap}")
+            if 2 * len(table) > downsets.MAX_STATES:
+                raise CapExceededError(
+                    f"{2 * len(table)} DP states exceed cap {downsets.MAX_STATES}"
+                )
+            for a, c in table.items():
+                if not a & wmask:
+                    new[a] = c
+                if a & umask == umask:
+                    new[a | vbit] = new.get(a | vbit, 0) + c
+        else:
+            for a, c in table.items():
+                key = a & ~vbit
+                new[key] = new.get(key, 0) + c
+        table = new
+        yield v, vbit, bool(size), table
 
 
 def stable_matchings_by_permutation_scan(inst: Instance) -> list[Matching]:

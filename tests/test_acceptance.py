@@ -297,6 +297,20 @@ def test_criterion_9_performance_scaling():
     )
 
 
+def test_criterion_9_dp_cost_is_linear_in_n():
+    # the cost behind criterion 9, counted instead of timed: on the ladder's
+    # 4-bags the DP takes 2n steps over tables of at most five states. The
+    # table grows to 2, 3, 4, 5 over the first four inserts, then holds 4
+    # after each forget and 5 after each insert, and shrinks to 4, 3, 2, 1
+    # over the last four forgets: 14 + 9(n - 4) + 10 = 9n - 12 in all
+    from smposet.downsets import _dp, _insert_order
+
+    for n in (50_000, 100_000):
+        g, x = _width3_instance(n)
+        sizes = [len(t) for _v, _vbit, _i, t in _dp(_insert_order(g, x), g.in_adj, g.out_adj)]
+        assert (len(sizes), sum(sizes), max(sizes)) == (2 * n, 9 * n - 12, 5)
+
+
 def _stable_pairs(inst, dg):
     pairs = set(gale_shapley(inst, MAN).pairs)
     for rho in dg.rotations:

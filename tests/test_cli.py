@@ -457,6 +457,39 @@ def test_count_dag_antichain_in_one_bag(workdir, capsys):
     assert run(capsys, "count", "--dag", dag, "--decomp", pd) == (0, "33554432\n", "")
 
 
+def _write_dag(path, n, edges):
+    path.write_text(f"DAG {n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
+def test_count_dag_width_cap_reads_live_vertices(workdir, capsys):
+    # both DAGs given as one bag of 2000: the width-3 ladder keeps four
+    # vertices live, the chain with a common sink keeps every vertex live
+    # until the sink
+    n = 2000
+    pd = workdir / "one.pd"
+    pd.write_text("PD 1\n" + " ".join(map(str, range(1, n + 1))) + "\n")
+    ladder, sink = workdir / "ladder.dag", workdir / "sink.dag"
+    _write_dag(ladder, n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
+    _write_dag(sink, n, [(i, i + 1) for i in range(1, n - 1)] + [(i, n) for i in range(1, n)])
+    assert run(capsys, "count", "--dag", ladder, "--decomp", pd) == (0, "2001\n", "")
+    assert run(capsys, "count", "--dag", sink, "--decomp", pd) == (
+        3, "", "cap exceeded: 32 live vertices exceed width cap 30\n"
+    )
+
+
+def test_invalid_decomposition_with_low_cap_exits_2(workdir, capsys, monkeypatch):
+    # the decomposition is checked before the DP runs, so a cap that the
+    # first insert would pass does not hide the missing edge cover
+    from smposet import downsets
+
+    monkeypatch.setattr(downsets, "MAX_STATES", 1)
+    pd = workdir / "bad.pd"
+    pd.write_text("PD 2\n1 2 3\n4\n")
+    assert run(capsys, "count", "--dag", workdir / "diamond.dag", "--decomp", pd) == (
+        2, "", "error: decomposition is not valid for the DAG\n"
+    )
+
+
 def test_realize_output_reparses_and_verifies(workdir, capsys):
     out_path = workdir / "again.sm"
     code, _, _ = run(

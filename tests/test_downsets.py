@@ -21,7 +21,9 @@ from smposet import (
 
 from conftest import (
     corrupt_bags,
+    five_field_nice_steps,
     merge_runs,
+    parent_dp,
     random_dag,
     random_nice_bags,
     reachable_from,
@@ -133,29 +135,50 @@ def test_dp_rejects_exactly_what_the_checks_reject():
 
 
 def test_count_width_cap(monkeypatch):
+    # five sources stay live until their common sink is inserted, so its
+    # insert would make six vertices live, more than cap 4 allows
     from smposet import downsets
 
     monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", 4)
-    g = Dag(6, [])
+    g = Dag(6, [(i, 6) for i in range(1, 6)])
     x = PathDecomposition.of([set(range(1, 7))])
     for y in (x, to_nice(g, x)):
-        with pytest.raises(CapExceededError, match="bag size 6 exceeds width cap 4"):
+        with pytest.raises(CapExceededError, match="^6 live vertices exceed width cap 4$"):
             count_downsets(g, y)
-    # a wide bag is refused at its first insert, before any table is built
-    steps = downsets._dp(x.bags, g.in_adj, g.out_adj)
+    # refused at that insert, before its table is built
+    steps = []
     with pytest.raises(CapExceededError):
-        next(steps)
+        for v, _vbit, inserted, _table in downsets._dp(list(range(1, 7)), g.in_adj, g.out_adj):
+            steps.append((v, inserted))
+    assert steps == [(v, True) for v in range(1, 6)]
+    # the same bag of six without the sink keeps one vertex live at a time
+    assert count_downsets(Dag(6, []), x) == 64
 
 
-def test_width_cap_refuses_one_bag_ladder():
-    # the chain ladder i -> i+1, i+2, i+3 has only n+1 downsets, so the state
-    # cap never fires on it; the width cap reads the bag size, not the live
-    # width (4 here), and refuses it at once
+def _one_bag(n: int) -> PathDecomposition:
+    return PathDecomposition.of([range(1, n + 1)])
+
+
+def _chain_with_sink(n: int) -> Dag:
+    return Dag(n, [(i, i + 1) for i in range(1, n - 1)] + [(i, n) for i in range(1, n)])
+
+
+def test_width_cap_counts_live_vertices():
+    # the cap reads the live vertices, not the bag size: the width-3 ladder
+    # i -> i+1, i+2, i+3 given as one bag keeps four vertices live, and an
+    # antichain in one bag keeps one
     n = 2000
-    g = Dag(n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
-    x = PathDecomposition.of([range(1, n + 1)])
-    with pytest.raises(CapExceededError, match="^bag size 2000 exceeds width cap 30$"):
-        count_downsets(g, x)
+    ladder = Dag(n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
+    assert count_downsets(ladder, _one_bag(n)) == n + 1
+    assert count_downsets(Dag(40, []), _one_bag(40)) == 2**40
+    # the chain 1 -> ... -> n-1 with every vertex also pointing to the sink n
+    # keeps each vertex live until n is inserted: its tables hold at most n+1
+    # states, so only the width cap stops it, at the 32nd insert
+    g = _chain_with_sink(n)
+    with pytest.raises(CapExceededError, match="^32 live vertices exceed width cap 30$"):
+        count_downsets(g, _one_bag(n))
+    _done, refusal = _steps(order_dp, g, _one_bag(n).bags)
+    assert refusal == (CapExceededError, "32 live vertices exceed width cap 30", 31)
 
 
 def test_count_state_cap(monkeypatch):
@@ -180,7 +203,7 @@ def test_count_antichain_in_one_bag_under_state_cap(monkeypatch):
     g = Dag(12, [])
     x = PathDecomposition.of([set(range(1, 13))])
     assert count_downsets(g, x) == 4096
-    steps = downsets._dp(x.bags, g.in_adj, g.out_adj)
+    steps = downsets._dp(list(range(1, 13)), g.in_adj, g.out_adj)
     sizes = [(v, inserted, len(t)) for v, _vbit, inserted, t in steps]
     assert sizes == [(v, ins, 2 if ins else 1) for v in range(1, 13) for ins in (True, False)]
 
@@ -276,9 +299,10 @@ def test_sample_downsets_same_seed_same_draws():
 
 def test_table_consistency_at_every_prefix():
     # after i bags the table total equals the downset count of the seen part;
-    # the DP gets the adjacency of the seen part alone, so every vertex it
-    # knows has been inserted when the prefix ends
+    # the DP gets the insert order of the prefix and the adjacency of the
+    # seen part alone, so every vertex it knows has been inserted
     from smposet.downsets import _dp
+    from smposet.pathdecomp import _nice_steps
 
     rng = random.Random(137)
     for _ in range(10):
@@ -293,53 +317,31 @@ def test_table_consistency_at_every_prefix():
             )
             in_adj = {v: sub.in_adj[v] for v in seen}
             out_adj = {v: sub.out_adj[v] for v in seen}
+            order = [v for v, inserted in _nice_steps(prefix, in_adj, out_adj) if inserted]
             table = {0: 1}
-            for _v, _vbit, _inserted, table in _dp(prefix, in_adj, out_adj):
+            for _v, _vbit, _inserted, table in _dp(order, in_adj, out_adj):
                 pass
             assert sum(table.values()) == expected
 
 
-def parent_dp(bags, in_adj, out_adj):
-    # reference: `_dp` before inserts stopped adding counts to 0, renamed and
-    # reading the caps from the module, otherwise unchanged
+def order_dp(bags, in_adj, out_adj):
+    """`_dp` as the public calls run it: over the insert order of the whole
+    walk of the bags, which checks them first."""
     from smposet import downsets
     from smposet.pathdecomp import _nice_steps
 
-    width_cap = downsets.HARD_WIDTH_CAP
-    table: dict[int, int] = {0: 1}
-    for v, vbit, size, umask, wmask in _nice_steps(bags, in_adj, out_adj):
-        new: dict[int, int] = {}
-        if size:
-            # at the first insert of a wide bag, before its table grows
-            if size > width_cap + 1:
-                raise CapExceededError(f"bag size {size} exceeds width cap {width_cap}")
-            if 2 * len(table) > downsets.MAX_STATES:
-                raise CapExceededError(
-                    f"{2 * len(table)} DP states exceed cap {downsets.MAX_STATES}"
-                )
-            for a, c in table.items():
-                if not a & wmask:
-                    new[a] = c
-                if a & umask == umask:
-                    new[a | vbit] = new.get(a | vbit, 0) + c
-        else:
-            for a, c in table.items():
-                key = a & ~vbit
-                new[key] = new.get(key, 0) + c
-        table = new
-        yield v, vbit, bool(size), table
+    order = [v for v, inserted in _nice_steps(bags, in_adj, out_adj) if inserted]
+    return downsets._dp(order, in_adj, out_adj)
 
 
-@pytest.fixture()
-def five_field_walker(monkeypatch):
-    # parent_dp unpacks the five fields the walker yielded before it also
-    # yielded the vertices each insert finishes; `_dp` imported its own
-    from smposet import pathdecomp
-
-    walker = pathdecomp._nice_steps
-    monkeypatch.setattr(
-        pathdecomp, "_nice_steps", lambda *args: (step[:5] for step in walker(*args))
-    )
+def _walk_fault(g, bags):
+    """The message with which the frozen walker refuses bags, or None."""
+    try:
+        for _step in five_field_nice_steps(bags, g.in_adj, g.out_adj):
+            pass
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 def _steps(dp, g, bags):
@@ -371,12 +373,11 @@ def _by_vertex_sets(steps):
     return out
 
 
-def test_dp_matches_reference_on_tight_cuts(five_field_walker):
+def test_dp_matches_reference_on_tight_cuts():
     # a vertex-separation cut drops each vertex right after its last
     # neighbour's insert already, so early forgets change no step, slot or
     # table: random DAGs cut along shuffled orders, and the cuts of
     # `_prepare` on random instances, complete and incomplete
-    from smposet import downsets
     from smposet.fairness import _prepare
     from smposet.pathdecomp import _layout_bags
 
@@ -396,18 +397,16 @@ def test_dp_matches_reference_on_tight_cuts(five_field_walker):
     for g, x in cases:
         want, refusal = _steps(parent_dp, g, x.bags)
         assert refusal is None
-        assert _steps(downsets._dp, g, x.bags) == (want, None)
+        assert _steps(order_dp, g, x.bags) == (want, None)
         walked += len(want) > 4
     assert walked > 250
 
 
-def test_dp_matches_reference_on_tight_nice_bags(five_field_walker):
+def test_dp_matches_reference_on_tight_nice_bags():
     # on any valid decomposition the DP takes the steps of the reference DP
     # over the same nice bags with every vertex dropped right after its last
-    # neighbour's insert; slots differ, since the DP keeps a forgotten
-    # vertex's slot until the decomposition drops it
-    from smposet import downsets
-
+    # neighbour's insert; slots may differ, since the reference frees a slot
+    # where the decomposition drops the vertex
     rng = random.Random(167)
     smaller = 0
     for _ in range(600):
@@ -422,7 +421,7 @@ def test_dp_matches_reference_on_tight_nice_bags(five_field_walker):
             bags = bags[:first] + [b | {v} for b in bags[first:]]
         x = PathDecomposition(tuple(bags))
         assert validate_by_rescan(g, x)
-        got, refusal = _steps(downsets._dp, g, x.bags)
+        got, refusal = _steps(order_dp, g, x.bags)
         want, want_refusal = _steps(parent_dp, g, tuple(tight_nice_bags(g, x)))
         assert refusal is None and want_refusal is None
         assert _by_vertex_sets(got) == _by_vertex_sets(want)
@@ -431,25 +430,36 @@ def test_dp_matches_reference_on_tight_nice_bags(five_field_walker):
     assert smaller > 60
 
 
-def test_dp_forgets_a_vertex_dropped_before_its_last_neighbour(monkeypatch, five_field_walker):
-    # a decomposition that is not valid may drop a vertex whose neighbour is
-    # still to come; the DP forgets it there, as the reference does, so the
-    # slot it frees holds no stale bit and the pass ends in the same refusal
+def test_invalid_decomposition_is_refused_before_any_cap(monkeypatch):
+    # the whole decomposition is checked before the DP runs, so a fault
+    # after the point where a cap would fire still decides the outcome
     from smposet import downsets
 
-    monkeypatch.setattr(downsets, "MAX_STATES", 2)
     g = Dag(3, [(1, 2)])
-    bags = (frozenset({1}), frozenset({3}), frozenset({2, 3}))
+    x = PathDecomposition.of([{1}, {3}, {2, 3}])
     message = "invalid decomposition: seen in-neighbor outside bag"
-    want = _steps(parent_dp, g, bags)[1]
-    assert want == (ValidationError, message, 2)
-    assert _steps(downsets._dp, g, bags)[1] == want
+    for cap in (2, 1):
+        monkeypatch.setattr(downsets, "MAX_STATES", cap)
+        assert _steps(order_dp, g, x.bags)[1] == (ValidationError, message, 0)
+        for call in (
+            lambda: count_downsets(g, x),
+            lambda: sample_downsets(g, x, random.Random(1), 1),
+            lambda: downset_marginals(g, x),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                call()
+    # the reference DP, which checks as it goes, meets the state cap first
+    assert _steps(parent_dp, g, x.bags)[1] == (
+        CapExceededError, "2 DP states exceed cap 1", 0
+    )
 
 
-def test_dp_refuses_what_the_reference_refuses(monkeypatch, five_field_walker):
-    # on valid, corrupted, merged and capped decompositions: the same count
-    # wherever the reference counted, the same ValidationError and bag size
-    # refusal, and a state cap refusal never at an earlier insert
+def test_dp_refuses_what_the_reference_refuses(monkeypatch):
+    # on valid, corrupted, merged and capped decompositions: an invalid one
+    # gives the frozen walker's ValidationError whatever the caps, before any
+    # DP step; a valid one gives the downset count wherever the reference
+    # counted, and otherwise the count or a cap refusal no earlier than the
+    # reference's, whose width cap reads the bag size
     from smposet import downsets
 
     rng = random.Random(157)
@@ -468,20 +478,24 @@ def test_dp_refuses_what_the_reference_refuses(monkeypatch, five_field_walker):
         monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", rng.randint(1, 4) if capped else 30)
         monkeypatch.setattr(downsets, "MAX_STATES", rng.choice([4, 8, 16]) if capped else 1 << 20)
         x = PathDecomposition(tuple(bags))
-        want_steps, want = _steps(parent_dp, g, x.bags)
-        got_steps, got = _steps(downsets._dp, g, x.bags)
-        if want is None or got is None:
+        _want_steps, want = _steps(parent_dp, g, x.bags)
+        got_steps, got = _steps(order_dp, g, x.bags)
+        if not validate_by_rescan(g, x):
+            fault = _walk_fault(g, x.bags)
+            assert fault is not None
+            assert want is not None and (want[0] is CapExceededError or want[1] == fault)
+            assert got == (ValidationError, fault, 0)
+            outcomes["ValidationError"] += 1
+            continue
+        assert want is None or want[0] is CapExceededError
+        assert got is None or got[0] is CapExceededError
+        if got is None:
+            assert _total(got_steps) == len(enumerate_downsets_bruteforce(g))
+        if want is None:
             assert got is None
-            assert want is None or "DP states" in want[1]
-            if want is None:
-                assert _total(got_steps) == _total(want_steps)
-            outcomes["answered" if want else "counted"] += 1
-        elif "DP states" in want[1]:
+            outcomes["counted"] += 1
+            continue
+        if got is not None:
             assert got[2] >= want[2]
-            outcomes["state cap"] += 1
-        else:
-            assert got == want
-            outcomes[want[0].__name__ if want[0] is ValidationError else "width cap"] += 1
-        if got and "DP states" in got[1]:
-            assert want and "DP states" in want[1] and want[2] <= got[2]
-    assert min(outcomes[k] for k in ("counted", "ValidationError", "width cap", "state cap")) > 50
+        outcomes["state cap" if "DP states" in want[1] else "width cap"] += 1
+    assert min(outcomes[k] for k in ("counted", "ValidationError", "width cap", "state cap")) > 50, outcomes

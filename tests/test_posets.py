@@ -134,6 +134,14 @@ def test_parse_dag_shares_one_int_per_vertex():
     assert g.edges == frozenset(edges)
 
 
+def test_dag_adjacency_dicts_share_their_key_ints():
+    # one int object per vertex id above 256 for the keys of both dicts
+    p = 600
+    g = Dag(p, [(v, v + 1) for v in range(1, p)])
+    assert list(g.in_adj) == list(g.out_adj) == list(range(1, p + 1))
+    assert all(a is b for a, b in zip(g.in_adj, g.out_adj))
+
+
 def test_parse_dag_and_round_trip():
     g = parse_dag(data_text("diamond.dag"))
     assert g.p == 4 and g.edges == frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
