@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 parse or validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
@@ -337,6 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept for the
+    process: a caller that runs many commands builds it once. Sharing it is
+    safe because `parse_args` returns a new namespace and leaves the parser
+    as it was."""
+    return build_parser()
+
+
 def _refuse_unread_options(args) -> None:
     """A usage error, as argparse gives, for an option that the chosen input
     or model would not read."""
@@ -353,9 +363,8 @@ def _refuse_unread_options(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _refuse_unread_options(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0

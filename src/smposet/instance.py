@@ -7,8 +7,9 @@ labels (``m[c,v]``). The file's comments, blank lines and header follow `_text`.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import _text
@@ -20,6 +21,26 @@ WOMAN = "w"
 
 def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
+
+
+def _exact_int_lists(lists: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """The lists as tuples of exact ints. Tuples pass through as they are,
+    and `int()` runs only when some entry is not an exact int (a bool, a
+    digit string, an object with `__int__`).
+    """
+    lists = tuple(map(tuple, lists))
+    if set(map(type, chain.from_iterable(lists))) <= {int}:
+        return lists
+    return tuple(tuple(map(int, lst)) for lst in lists)
+
+
+def _in_range(lst: tuple[int, ...], rank: dict[int, int], ids: frozenset[int]) -> bool:
+    """Whether every entry of a duplicate-free list lies in ids = {0..n-1}:
+    a complete list holds exactly ids, any other list lies within its bounds.
+    """
+    if len(lst) == len(ids):
+        return rank.keys() == ids
+    return not lst or (0 <= min(lst) and max(lst) < len(ids))
 
 
 class Matching:
@@ -76,8 +97,8 @@ class Instance:
         men_labels: Optional[Sequence[str]] = None,
         women_labels: Optional[Sequence[str]] = None,
     ):
-        self.men_prefs = tuple(tuple(map(int, lst)) for lst in men_prefs)
-        self.women_prefs = tuple(tuple(map(int, lst)) for lst in women_prefs)
+        self.men_prefs = _exact_int_lists(men_prefs)
+        self.women_prefs = _exact_int_lists(women_prefs)
         self.n_men = len(self.men_prefs)
         self.n_women = len(self.women_prefs)
         self.men_labels = (
@@ -93,6 +114,10 @@ class Instance:
     def _validate(self) -> None:
         """Check labels and lists, and build the rank dicts on the way: each
         list is walked once, and its rank dict serves as its membership set.
+
+        The per-entry loops only name the first fault: a list that the
+        C-speed checks accept (its rank dict's keys, or its min and max)
+        skips them.
         """
         if len(self.men_labels) != self.n_men or len(self.women_labels) != self.n_women:
             raise ValidationError("label count does not match agent count")
@@ -103,30 +128,39 @@ class Instance:
         # cached by Python, so each list would otherwise hold its own
         longest = max(map(len, self.men_prefs + self.women_prefs), default=0)
         ranks = tuple(range(1, longest + 1))
+        men_ids = frozenset(range(self.n_men))
+        women_ids = frozenset(range(self.n_women))
         men_rank = []
-        listed_by = [0] * self.n_women  # how many men list each woman
         for m, lst in enumerate(self.men_prefs):
             rank = dict(zip(lst, ranks))
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.men_labels[m]}'s list")
-            for w in lst:
-                if not 0 <= w < self.n_women:
-                    raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
-                listed_by[w] += 1
+            if not _in_range(lst, rank, women_ids):
+                for w in lst:
+                    if not 0 <= w < self.n_women:
+                        raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
             men_rank.append(rank)
+        # how many men list each woman; a men's list that passed the checks
+        # above and has n_women entries lists every woman
+        if all(len(lst) == self.n_women for lst in self.men_prefs):
+            listed_by = [self.n_men] * self.n_women
+        else:
+            listed_by = Counter(chain.from_iterable(self.men_prefs))
         women_rank = []
         for w, lst in enumerate(self.women_prefs):
             rank = dict(zip(lst, ranks))
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.women_labels[w]}'s list")
-            for m in lst:
-                if not 0 <= m < self.n_men:
-                    raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
-                if w not in men_rank[m]:
-                    raise ValidationError(
-                        f"inconsistent lists: {self.women_labels[w]} ranks "
-                        f"{self.men_labels[m]} but not vice versa"
-                    )
+            # every man lists her, so each man in range that she lists lists her
+            if not (listed_by[w] == self.n_men and _in_range(lst, rank, men_ids)):
+                for m in lst:
+                    if not 0 <= m < self.n_men:
+                        raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
+                    if w not in men_rank[m]:
+                        raise ValidationError(
+                            f"inconsistent lists: {self.women_labels[w]} ranks "
+                            f"{self.men_labels[m]} but not vice versa"
+                        )
             women_rank.append(rank)
             # every man she lists lists her, so equal counts mean the converse
             if listed_by[w] == len(lst):
@@ -214,7 +248,7 @@ def parse_instance(text: str) -> Instance:
     for i, (name, rest) in enumerate(zip(labels, rests)):
         table = woman_idx if i < n_men else man_idx
         try:
-            prefs.append(list(map(table.__getitem__, rest.split())))
+            prefs.append(tuple(map(table.__getitem__, rest.split())))
         except KeyError as exc:
             raise ParseError(f"{name} ranks unknown agent {exc.args[0]!r}") from None
     try:

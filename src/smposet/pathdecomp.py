@@ -81,18 +81,22 @@ def _nice_steps(
     gone: set[int] = set()
     prev: frozenset[int] = frozenset()
     for bag in chain(bags, (frozenset(),)):
-        delta = bag ^ prev
-        if len(delta) > 1:
-            # before sorting, so that a bag holding "a" is not a TypeError
-            if not in_adj.keys() >= delta:
-                raise ValidationError("decomposition is not valid for this graph")
-            delta = sorted(prev - bag) + sorted(bag - prev)
+        leave = prev - bag
+        enter = bag - prev
         prev = bag
-        for v in delta:
-            if v not in bag:
-                gone.add(v)
-                yield v, False
-                continue
+        if len(leave) + len(enter) > 1:
+            # before sorting, so that a bag holding "a" is not a TypeError;
+            # a leaving vertex was checked when it entered
+            if not in_adj.keys() >= enter:
+                raise ValidationError("decomposition is not valid for this graph")
+            if len(leave) > 1:
+                leave = sorted(leave)
+            if len(enter) > 1:
+                enter = sorted(enter)
+        for v in leave:
+            gone.add(v)
+            yield v, False
+        for v in enter:
             if v not in in_adj:
                 raise ValidationError("decomposition is not valid for this graph")
             if v in gone:

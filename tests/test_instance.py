@@ -146,41 +146,100 @@ def _random_list_pair(rng):
     return men, women, men_labels, women_labels
 
 
+def _complete_list_pair(rng):
+    """Complete lists for up to 8 agents a side, which the C-speed checks
+    accept, then at most one fault that sends them back to the per-entry
+    loops: a repeated entry, an entry out of range, an entry dropped from or
+    added to one side, or a repeated label.
+    """
+    n_men, n_women = rng.randint(0, 8), rng.randint(0, 8)
+    men = [rng.sample(range(n_women), n_women) for _ in range(n_men)]
+    women = [rng.sample(range(n_men), n_men) for _ in range(n_women)]
+    men_labels = [f"m{i + 1}" for i in range(n_men)]
+    women_labels = [f"w{i + 1}" for i in range(n_women)]
+    lists, n_other = rng.choice([(men, n_women), (women, n_men)])
+    kind = rng.randrange(6)
+    if not lists or kind == 5:
+        return men, women, men_labels, women_labels
+    lst = rng.choice(lists)
+    at = rng.randrange(len(lst) + 1)
+    if kind == 0 and lst:
+        # in place, the list keeps its complete length
+        if rng.random() < 0.5 and len(lst) >= 2:
+            lst[at % len(lst)] = lst[(at + 1) % len(lst)]
+        else:
+            lst.insert(at, rng.choice(lst))
+    elif kind == 1:
+        bad = rng.choice([-1, n_other, n_other + 2])
+        if rng.random() < 0.5 and lst:
+            lst[at % len(lst)] = bad
+        else:
+            lst.insert(at, bad)
+    elif kind == 2 and lst:
+        del lst[at % len(lst)]
+    elif kind == 3 and n_men and n_women:
+        # drop one pair from both sides, then list it again on one side
+        m, w = rng.randrange(n_men), rng.randrange(n_women)
+        men[m].remove(w)
+        women[w].remove(m)
+        if rng.random() < 0.5:
+            men[m].insert(rng.randint(0, len(men[m])), w)
+        else:
+            women[w].insert(rng.randint(0, len(women[w])), m)
+    elif kind == 4:
+        labels = rng.choice([men_labels, women_labels])
+        if len(labels) >= 2:
+            labels[rng.randrange(1, len(labels))] = labels[0]
+    return men, women, men_labels, women_labels
+
+
+def _check_against_two_pass(men, women, men_labels, women_labels):
+    """Assert that building and parsing these lists give the two-pass
+    outcome word for word; returns that outcome with its numbers masked.
+    """
+    expected, ranks = _two_pass_validate(men, women, men_labels, women_labels)
+    try:
+        inst = Instance(men, women, men_labels, women_labels)
+    except ValidationError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert (inst.men_rank, inst.women_rank) == ranks
+    masked = expected and re.sub(r"-?\d+", "#", expected)
+    if len(men_labels) != len(men) or len(women_labels) != len(women):
+        return masked
+    if len(set(men_labels)) != len(men) or len(set(women_labels)) != len(women):
+        return masked
+    if any(not 0 <= w < len(women) for lst in men for w in lst):
+        return masked
+    if any(not 0 <= m < len(men) for lst in women for m in lst):
+        return masked
+    lines = [f"SM {len(men)} {len(women)}"]
+    lines += [f"{a}: " + " ".join(women_labels[w] for w in lst) for a, lst in zip(men_labels, men)]
+    lines += [f"{a}: " + " ".join(men_labels[m] for m in lst) for a, lst in zip(women_labels, women)]
+    try:
+        inst = parse_instance("\n".join(lines) + "\n")
+    except ParseError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert (inst.men_rank, inst.women_rank) == ranks
+    return masked
+
+
 def test_validation_messages_match_the_two_pass_checks():
     # built directly and parsed from text, every outcome of the one-pass
     # checks matches the two-pass reference word for word
     rng = random.Random(163)
     seen = set()
     for _ in range(3000):
-        men, women, men_labels, women_labels = _random_list_pair(rng)
-        expected, ranks = _two_pass_validate(men, women, men_labels, women_labels)
-        seen.add(expected and re.sub(r"-?\d+", "#", expected))
-        try:
-            inst = Instance(men, women, men_labels, women_labels)
-        except ValidationError as exc:
-            assert str(exc) == expected
-        else:
-            assert expected is None
-            assert (inst.men_rank, inst.women_rank) == ranks
-        if len(men_labels) != len(men) or len(women_labels) != len(women):
-            continue
-        if len(set(men_labels)) != len(men) or len(set(women_labels)) != len(women):
-            continue
-        if any(not 0 <= w < len(women) for lst in men for w in lst):
-            continue
-        if any(not 0 <= m < len(men) for lst in women for m in lst):
-            continue
-        lines = [f"SM {len(men)} {len(women)}"]
-        lines += [f"{a}: " + " ".join(women_labels[w] for w in lst) for a, lst in zip(men_labels, men)]
-        lines += [f"{a}: " + " ".join(men_labels[m] for m in lst) for a, lst in zip(women_labels, women)]
-        try:
-            inst = parse_instance("\n".join(lines) + "\n")
-        except ParseError as exc:
-            assert str(exc) == expected
-        else:
-            assert expected is None
-            assert (inst.men_rank, inst.women_rank) == ranks
-    assert seen == {
+        seen.add(_check_against_two_pass(*_random_list_pair(rng)))
+    # complete lists pass the C-speed checks, and one fault in them must
+    # still be named as the per-entry loops name it
+    seen_complete = set()
+    for _ in range(1500):
+        seen_complete.add(_check_against_two_pass(*_complete_list_pair(rng)))
+    messages = {
         None,
         "label count does not match agent count",
         "duplicate label on side 'm'",
@@ -192,6 +251,31 @@ def test_validation_messages_match_the_two_pass_checks():
         "inconsistent lists: w# ranks m# but not vice versa",
         "inconsistent lists: m# ranks w# but not vice versa",
     }
+    assert seen == messages
+    assert seen_complete == messages - {"label count does not match agent count"}
+
+
+def test_entries_become_tuples_of_exact_ints():
+    # entries that are not exact ints go through int(), as they always did
+    class Two:
+        def __int__(self):
+            return 2
+
+    men = [[True, "0", Two()], [2, 1, 0], (0, 1, 2)]
+    women = [["1", 0, 2], [0, 1, 2], [False, 1, Two()]]
+    inst = Instance(men, women)
+    assert inst.men_prefs == ((1, 0, 2), (2, 1, 0), (0, 1, 2))
+    assert inst.women_prefs == ((1, 0, 2), (0, 1, 2), (0, 1, 2))
+    # lists of exact ints given as tuples are kept as they are
+    exact = Instance(inst.men_prefs, inst.women_prefs)
+    assert exact.men_prefs[0] is inst.men_prefs[0]
+    parsed = parse_instance(format_instance(random_complete_instance(random.Random(9), 5)))
+    for inst in (inst, exact, parsed):
+        for prefs in (inst.men_prefs, inst.women_prefs):
+            assert type(prefs) is tuple
+            for lst in prefs:
+                assert type(lst) is tuple
+                assert {type(x) for x in lst} <= {int}
 
 
 def test_format_round_trip(example_instance):
