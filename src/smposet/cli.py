@@ -130,16 +130,16 @@ def _cmd_realize(args) -> int:
     elif args.model == "list2inf":
         res = realize_list2inf(g, master_side=args.master_side or "m")
         inst = res.instance
-        lines = []
-        for name, master in (("LM1", res.lm1), ("LM2", res.lm2)):
-            labels = (
-                inst.women_labels if res.master_side == "m" else inst.men_labels
-            )
-            lines.append(f"{name}: " + " ".join(labels[i] for i in master))
-        for i in sorted(res.man_group if res.master_side == "m" else res.woman_group):
-            group = (res.man_group if res.master_side == "m" else res.woman_group)[i]
-            who = (inst.men_labels if res.master_side == "m" else inst.women_labels)[i]
-            lines.append(f"group {who}: {group}")
+        # the masters rank the other side; the master side's agents own the groups
+        if res.master_side == "m":
+            listed, owners, groups = inst.women_labels, inst.men_labels, res.man_group
+        else:
+            listed, owners, groups = inst.men_labels, inst.women_labels, res.woman_group
+        lines = [
+            f"{name}: " + " ".join(listed[i] for i in master)
+            for name, master in (("LM1", res.lm1), ("LM2", res.lm2))
+        ]
+        lines += [f"group {owners[i]}: {groups[i]}" for i in sorted(groups)]
         sidecars.append((".masters", "\n".join(lines) + "\n"))
     elif args.model == "range":
         if not args.decomp:
@@ -275,7 +275,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept for the
+    process: a caller that runs many commands builds it once. Sharing it is
+    safe because `parse_args` returns a new namespace and leaves the parser
+    as it was."""
     parser = _Parser(prog="smposet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -338,15 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built on its first call and kept for the
-    process: a caller that runs many commands builds it once. Sharing it is
-    safe because `parse_args` returns a new namespace and leaves the parser
-    as it was."""
-    return build_parser()
-
-
 def _refuse_unread_options(args) -> None:
     """A usage error, as argparse gives, for an option that the chosen input
     or model would not read."""
@@ -364,7 +360,7 @@ def _refuse_unread_options(args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         _refuse_unread_options(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0

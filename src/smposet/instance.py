@@ -7,7 +7,7 @@ labels (``m[c,v]``). The file's comments, blank lines and header follow `_text`.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -34,9 +34,10 @@ def _exact_int_lists(lists: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], .
     return tuple(tuple(map(int, lst)) for lst in lists)
 
 
-def _in_range(lst: tuple[int, ...], n: int) -> bool:
-    """Whether every entry of a list of exact ints lies in {0..n-1}."""
-    return not lst or (0 <= min(lst) and max(lst) < n)
+def _in_range(lists: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether every entry of some lists of exact ints lies in {0..n-1}."""
+    lowest = min(chain.from_iterable(lists), default=0)
+    return lowest >= 0 and max(chain.from_iterable(lists), default=-1) < n
 
 
 class Matching:
@@ -108,65 +109,63 @@ class Instance:
         self._validate()
 
     def _validate(self) -> None:
-        """Check labels and lists, and build the rank dicts on the way: each
-        list is walked once, and its rank dict serves as its membership set.
-
-        The per-entry loops only name the first fault: a duplicate-free list
-        whose min and max lie in range skips them.
+        """Check labels and lists and build the rank dicts. One C-speed test
+        accepts the lists: no repeats, in range, and equal pair sets on the two
+        sides (equal totals, and every man on a woman's list lists her). Only
+        when it fails does `_first_fault` walk the lists to name the fault.
         """
         if len(self.men_labels) != self.n_men or len(self.women_labels) != self.n_women:
             raise ValidationError("label count does not match agent count")
         for side, labels in ((MAN, self.men_labels), (WOMAN, self.women_labels)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate label on side {side!r}")
+        men, women = self.men_prefs, self.women_prefs
         # one int per rank, shared by every list: ranks above 256 are not
         # cached by Python, so each list would otherwise hold its own
-        longest = max(map(len, self.men_prefs + self.women_prefs), default=0)
-        ranks = tuple(range(1, longest + 1))
-        men_rank = []
-        for m, lst in enumerate(self.men_prefs):
-            rank = dict(zip(lst, ranks))
+        ranks = tuple(range(1, max(map(len, men + women), default=0) + 1))
+        self.men_rank = men_rank = tuple(dict(zip(lst, ranks)) for lst in men)
+        self.women_rank = women_rank = tuple(dict(zip(lst, ranks)) for lst in women)
+        if not (
+            list(map(len, men_rank)) == list(map(len, men))
+            and list(map(len, women_rank)) == list(map(len, women))
+            and _in_range(men, self.n_women)
+            and _in_range(women, self.n_men)
+            and (
+                self.is_complete
+                or sum(map(len, men)) == sum(map(len, women))
+                and all(w in men_rank[m] for w, lst in enumerate(women) for m in lst)
+            )
+        ):
+            self._first_fault()
+
+    def _first_fault(self) -> None:
+        """Raise the first fault of lists the accept test refused: each man's
+        list for repeats, then range; each woman's for repeats, then entry by
+        entry for range and the man listing her back, then the converse.
+        """
+        for m, (lst, rank) in enumerate(zip(self.men_prefs, self.men_rank)):
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.men_labels[m]}'s list")
-            if not _in_range(lst, self.n_women):
-                for w in lst:
-                    if not 0 <= w < self.n_women:
-                        raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
-            men_rank.append(rank)
-        # how many men list each woman; a men's list that passed the checks
-        # above and has n_women entries lists every woman, and skipping the
-        # Counter then saves about a fifth of building a complete instance
-        if all(len(lst) == self.n_women for lst in self.men_prefs):
-            listed_by = [self.n_men] * self.n_women
-        else:
-            listed_by = Counter(chain.from_iterable(self.men_prefs))
-        women_rank = []
-        for w, lst in enumerate(self.women_prefs):
-            rank = dict(zip(lst, ranks))
+            for w in lst:
+                if not 0 <= w < self.n_women:
+                    raise ValidationError(f"{self.men_labels[m]} ranks unknown woman {w}")
+        for w, (lst, rank) in enumerate(zip(self.women_prefs, self.women_rank)):
             if len(rank) != len(lst):
                 raise ValidationError(f"duplicate entry in {self.women_labels[w]}'s list")
-            # every man lists her, so each man in range that she lists lists her
-            if not (listed_by[w] == self.n_men and _in_range(lst, self.n_men)):
-                for m in lst:
-                    if not 0 <= m < self.n_men:
-                        raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
-                    if w not in men_rank[m]:
-                        raise ValidationError(
-                            f"inconsistent lists: {self.women_labels[w]} ranks "
-                            f"{self.men_labels[m]} but not vice versa"
-                        )
-            women_rank.append(rank)
-            # every man she lists lists her, so equal counts mean the converse
-            if listed_by[w] == len(lst):
-                continue
+            for m in lst:
+                if not 0 <= m < self.n_men:
+                    raise ValidationError(f"{self.women_labels[w]} ranks unknown man {m}")
+                if w not in self.men_rank[m]:
+                    raise ValidationError(
+                        f"inconsistent lists: {self.women_labels[w]} ranks "
+                        f"{self.men_labels[m]} but not vice versa"
+                    )
             for m in range(self.n_men):
-                if w in men_rank[m] and m not in rank:
+                if w in self.men_rank[m] and m not in rank:
                     raise ValidationError(
                         f"inconsistent lists: {self.men_labels[m]} ranks "
                         f"{self.women_labels[w]} but not vice versa"
                     )
-        self.men_rank = tuple(men_rank)
-        self.women_rank = tuple(women_rank)
 
     @property
     def is_complete(self) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -394,19 +395,18 @@ def realize_range(h: Dag, x: PathDecomposition) -> Instance:
     subs = [(v, c) for v in h.vertices() for c in csets[v]]
     block = [c for _v, c in subs]
     by_block_then_vertex = sorted(range(len(subs)), key=lambda i: (subs[i][1], subs[i][0]))
+    sorted_blocks = [block[j] for j in by_block_then_vertex]
 
     def widen(prefs):
         full = []
         for i, lst in enumerate(prefs):
+            # blocks <= b - 3 go before the list, >= b + 3 after, the rest between
             b = block[i]
+            lo = bisect_right(sorted_blocks, b - 3)
+            hi = bisect_left(sorted_blocks, b + 3)
             have = set(lst)
-            band = [
-                j for j in by_block_then_vertex
-                if abs(block[j] - b) <= 2 and j not in have
-            ]
-            before = [j for j in by_block_then_vertex if block[j] <= b - 3]
-            after = [j for j in by_block_then_vertex if block[j] >= b + 3]
-            full.append(before + list(lst) + band + after)
+            band = [j for j in by_block_then_vertex[lo:hi] if j not in have]
+            full.append(by_block_then_vertex[:lo] + list(lst) + band + by_block_then_vertex[hi:])
         return full
 
     inst = Instance(
