@@ -172,10 +172,9 @@ def _cmd_analyze(args) -> int:
         print(f"rho{a + 1} -> rho{b + 1} rule={tag}")
     if inst.is_complete:
         print(f"range {profile.k}")
-        for m in range(inst.n_men):
-            print(f"minrank {inst.men_labels[m]}: {profile.orank_men[m]}")
-        for w in range(inst.n_women):
-            print(f"minrank {inst.women_labels[w]}: {profile.orank_women[w]}")
+        labels = inst.men_labels + inst.women_labels
+        for label, r in zip(labels, profile.orank_men + profile.orank_women):
+            print(f"minrank {label}: {r}")
         print(f"decomposition width {x.width} bags {len(x.bags)}")
     else:
         print("range n/a (incomplete instance)")

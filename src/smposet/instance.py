@@ -19,7 +19,10 @@ MAN = "m"
 WOMAN = "w"
 
 
-def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
+def _labels(given: Optional[Sequence[str]], prefix: str, n: int) -> tuple[str, ...]:
+    """The given labels, or the default ``m1``, ``w3`` style ones."""
+    if given is not None:
+        return tuple(given)
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
@@ -98,14 +101,8 @@ class Instance:
         self.women_prefs = _exact_int_lists(women_prefs)
         self.n_men = len(self.men_prefs)
         self.n_women = len(self.women_prefs)
-        self.men_labels = (
-            tuple(men_labels) if men_labels is not None else _default_labels(MAN, self.n_men)
-        )
-        self.women_labels = (
-            tuple(women_labels)
-            if women_labels is not None
-            else _default_labels(WOMAN, self.n_women)
-        )
+        self.men_labels = _labels(men_labels, MAN, self.n_men)
+        self.women_labels = _labels(women_labels, WOMAN, self.n_women)
         self._validate()
 
     def _validate(self) -> None:
@@ -253,12 +250,13 @@ def parse_instance(text: str) -> Instance:
 def format_instance(inst: Instance) -> str:
     """Serialize an instance to the file format; inverse of parse_instance."""
     out = [f"SM {inst.n_men} {inst.n_women}"]
-    for m in range(inst.n_men):
-        names = " ".join(inst.women_labels[w] for w in inst.men_prefs[m])
-        out.append(f"{inst.men_labels[m]}: {names}".rstrip())
-    for w in range(inst.n_women):
-        names = " ".join(inst.men_labels[m] for m in inst.women_prefs[w])
-        out.append(f"{inst.women_labels[w]}: {names}".rstrip())
+    for own, other, prefs in (
+        (inst.men_labels, inst.women_labels, inst.men_prefs),
+        (inst.women_labels, inst.men_labels, inst.women_prefs),
+    ):
+        for label, lst in zip(own, prefs):
+            names = " ".join(other[j] for j in lst)
+            out.append(f"{label}: {names}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -326,32 +324,29 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[int, int]]:
     return out
 
 
+def _rank_bounds(lists: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
+    """Each of the n agents' least and greatest rank on one side's lists. An
+    agent that no one ranks (that side is empty) gets 0 for both.
+    """
+    INF = float("inf")
+    orank = [INF] * n
+    maxrank = [0] * n
+    for lst in lists:
+        for r, j in enumerate(lst, start=1):
+            if r < orank[j]:
+                orank[j] = r
+            if r > maxrank[j]:
+                maxrank[j] = r
+    return [0 if r == INF else r for r in orank], maxrank
+
+
 def compute_range(inst: Instance) -> RangeProfile:
     """Exact range k and per-agent minrank/maxrank of a complete instance."""
     if not inst.is_complete:
         raise ValidationError("range is defined for complete instances only")
-    INF = float("inf")
-    orank_w = [INF] * inst.n_women
-    maxrank_w = [0] * inst.n_women
-    for m in range(inst.n_men):
-        for r, w in enumerate(inst.men_prefs[m], start=1):
-            if r < orank_w[w]:
-                orank_w[w] = r
-            if r > maxrank_w[w]:
-                maxrank_w[w] = r
-    orank_m = [INF] * inst.n_men
-    maxrank_m = [0] * inst.n_men
-    for w in range(inst.n_women):
-        for r, m in enumerate(inst.women_prefs[w], start=1):
-            if r < orank_m[m]:
-                orank_m[m] = r
-            if r > maxrank_m[m]:
-                maxrank_m[m] = r
-    # an agent that no one ranks (the other side is empty) gets 0, as its maxrank does
-    orank_m = [0 if r == INF else r for r in orank_m]
-    orank_w = [0 if r == INF else r for r in orank_w]
-    spreads = [mx - mn for mn, mx in zip(orank_m, maxrank_m)]
-    spreads += [mx - mn for mn, mx in zip(orank_w, maxrank_w)]
+    orank_m, maxrank_m = _rank_bounds(inst.women_prefs, inst.n_men)
+    orank_w, maxrank_w = _rank_bounds(inst.men_prefs, inst.n_women)
+    spreads = [mx - mn for mn, mx in zip(orank_m + orank_w, maxrank_m + maxrank_w)]
     k = (max(spreads) if spreads else 0) + 1
     return RangeProfile(
         k=k,
@@ -371,29 +366,22 @@ def symmetric_shortlists(inst: Instance) -> Instance:
     mu0 = gale_shapley(inst, MAN)
     muz = gale_shapley(inst, WOMAN)
 
-    def window(prefs, rank, best_partner, worst_partner):
-        if best_partner is None:
-            return set()
-        lo = rank[best_partner]
-        hi = rank[worst_partner]
-        return set(prefs[lo - 1 : hi])
+    def windows(prefs, ranks, best, worst):
+        return [
+            set() if (b := best(i)) is None else set(lst[rank[b] - 1 : rank[worst(i)]])
+            for i, (lst, rank) in enumerate(zip(prefs, ranks))
+        ]
 
-    men_keep = [
-        window(inst.men_prefs[m], inst.men_rank[m], mu0.woman_of(m), muz.woman_of(m))
-        for m in range(inst.n_men)
-    ]
-    women_keep = [
-        window(inst.women_prefs[w], inst.women_rank[w], muz.man_of(w), mu0.man_of(w))
-        for w in range(inst.n_women)
-    ]
-    men_prefs = [
-        [w for w in inst.men_prefs[m] if w in men_keep[m] and m in women_keep[w]]
-        for m in range(inst.n_men)
-    ]
-    women_prefs = [
-        [m for m in inst.women_prefs[w] if m in women_keep[w] and w in men_keep[m]]
-        for w in range(inst.n_women)
-    ]
+    def trim(prefs, keep, other_keep):
+        return [
+            [j for j in lst if j in own and i in other_keep[j]]
+            for i, (lst, own) in enumerate(zip(prefs, keep))
+        ]
+
+    men_keep = windows(inst.men_prefs, inst.men_rank, mu0.woman_of, muz.woman_of)
+    women_keep = windows(inst.women_prefs, inst.women_rank, muz.man_of, mu0.man_of)
+    men_prefs = trim(inst.men_prefs, men_keep, women_keep)
+    women_prefs = trim(inst.women_prefs, women_keep, men_keep)
     return Instance(men_prefs, women_prefs, inst.men_labels, inst.women_labels)
 
 
@@ -404,12 +392,13 @@ def complete_preferences(inst: Instance) -> Instance:
     """
     if inst.n_men != inst.n_women:
         raise ValidationError("completion requires equally many men and women")
-    men_prefs = [
-        list(lst) + [w for w in range(inst.n_women) if w not in inst.men_rank[m]]
-        for m, lst in enumerate(inst.men_prefs)
-    ]
-    women_prefs = [
-        list(lst) + [m for m in range(inst.n_men) if m not in inst.women_rank[w]]
-        for w, lst in enumerate(inst.women_prefs)
-    ]
+
+    def completed(prefs, ranks, n_other):
+        return [
+            list(lst) + [j for j in range(n_other) if j not in rank]
+            for lst, rank in zip(prefs, ranks)
+        ]
+
+    men_prefs = completed(inst.men_prefs, inst.men_rank, inst.n_women)
+    women_prefs = completed(inst.women_prefs, inst.women_rank, inst.n_men)
     return Instance(men_prefs, women_prefs, inst.men_labels, inst.women_labels)

@@ -266,24 +266,19 @@ def realize_attr6(h: Dag) -> AttrRealization:
             out.append(lst)
         return out
 
+    def profiles(padded_lists):
+        return [
+            AttributeProfile(_moment_point(i + 1), *_ranking_functional([j + 1 for j in lst], n))
+            for i, lst in enumerate(padded_lists)
+        ]
+
     men_padded = padded(base.men_prefs, base.n_women)
     women_padded = padded(base.women_prefs, base.n_men)
-    men_profiles = []
-    for m in range(n):
-        weights, const = _ranking_functional([w + 1 for w in men_padded[m]], n)
-        men_profiles.append(AttributeProfile(_moment_point(m + 1), weights, const))
-    women_profiles = []
-    for w in range(n):
-        weights, const = _ranking_functional([m + 1 for m in women_padded[w]], n)
-        women_profiles.append(AttributeProfile(_moment_point(w + 1), weights, const))
-    inst = evaluate_profiles(
-        men_profiles, women_profiles, base.men_labels, base.women_labels
-    )
-    for m in range(n):
-        if list(inst.men_prefs[m][: len(men_padded[m])]) != men_padded[m]:
-            raise ValidationError("internal error: functional does not honor the bounded prefix")
-    for w in range(n):
-        if list(inst.women_prefs[w][: len(women_padded[w])]) != women_padded[w]:
+    men_profiles = profiles(men_padded)
+    women_profiles = profiles(women_padded)
+    inst = evaluate_profiles(men_profiles, women_profiles, base.men_labels, base.women_labels)
+    for lst, prefix in zip(inst.men_prefs + inst.women_prefs, men_padded + women_padded):
+        if list(lst[: len(prefix)]) != prefix:
             raise ValidationError("internal error: functional does not honor the bounded prefix")
     return AttrRealization(inst, tuple(men_profiles), tuple(women_profiles))
 

@@ -312,6 +312,31 @@ def test_criterion_9_dp_cost_is_linear_in_n():
         assert (len(sizes), sum(sizes), max(sizes)) == (2 * n, 9 * n - 12, 5)
 
 
+def test_criterion_9_dp_cost_on_bands_is_linear_in_n():
+    # the same count on seeded window-10 bands (edge i -> i+d, 1 <= d <= 10,
+    # kept with probability 0.15) over their bags {i..i+10}: 2n steps, no
+    # table above the 2^11 masks of one bag, and a summed table size that
+    # doubles with n
+    from smposet.downsets import _dp, _insert_order
+
+    totals = []
+    for n in (5000, 10_000):
+        rng = random.Random(n)
+        edges = [
+            (i, i + d)
+            for i in range(1, n + 1)
+            for d in range(1, 11)
+            if i + d <= n and rng.random() < 0.15
+        ]
+        g = Dag(n, edges)
+        x = PathDecomposition.of([range(i, i + 11) for i in range(1, n - 9)])
+        sizes = [len(t) for _v, _vbit, _i, t in _dp(_insert_order(g, x), g.in_adj, g.out_adj)]
+        assert len(sizes) == 2 * n
+        assert max(sizes) <= 2**11
+        totals.append(sum(sizes))
+    assert totals[1] / totals[0] <= 2.2
+
+
 def _stable_pairs(inst, dg):
     pairs = set(gale_shapley(inst, MAN).pairs)
     for rho in dg.rotations:

@@ -10,6 +10,7 @@ from smposet import (
     FairnessScores,
     ParseError,
     ValidationError,
+    all_stable_matchings_bruteforce,
     check_realization,
     parse_dag,
     parse_decomposition,
@@ -306,6 +307,15 @@ def test_oracle_count(workdir, capsys):
     assert code == 0 and out.strip() == "4"
     code, out, _ = run(capsys, "oracle", "count", "--dag", workdir / "chain3.dag")
     assert code == 0 and out.strip() == "4"
+    path = workdir / "example_rotation_poset.sm"
+    inst = parse_instance(path.read_text())
+    code, out, err = run(capsys, "oracle", "matchings", "--instance", path)
+    blocks = [
+        "".join(f"{inst.men_labels[m]} {inst.women_labels[w]}\n" for m, w in mu.sorted_pairs())
+        for mu in all_stable_matchings_bruteforce(inst)
+    ]
+    assert len(blocks) == 4
+    assert (code, out, err) == (0, "\n".join(blocks), "")
 
 
 def test_oracle_pathwidth(workdir, capsys):
@@ -405,6 +415,7 @@ def test_instance_and_dag_together_are_a_usage_error(workdir, capsys):
         assert (code, out) == (1, "")
         assert "not allowed with argument" in err
     assert run(capsys, "oracle", "count")[0] == 2  # no input given
+    assert run(capsys, "count", "--dag", dag) == (2, "", "error: count --dag requires --decomp\n")
 
 
 @pytest.mark.parametrize(

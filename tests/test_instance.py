@@ -21,7 +21,7 @@ from smposet import (
 )
 from smposet.instance import gale_shapley as _gs
 
-from conftest import random_complete_instance
+from conftest import random_complete_instance, random_incomplete_instance
 
 MU0 = Matching([(0, 0), (1, 1), (2, 2), (3, 3)])
 MU3 = Matching([(0, 3), (1, 0), (2, 1), (3, 2)])
@@ -444,10 +444,23 @@ def test_shortlists_unique_stable_matching():
 
 def test_shortlists_preserve_stable_matchings():
     rng = random.Random(41)
-    for _ in range(15):
-        inst = random_complete_instance(rng, 5)
+    complete = [random_complete_instance(rng, 5) for _ in range(15)]
+    incomplete = [
+        random_incomplete_instance(rng, rng.randint(1, 5), rng.randint(1, 5), 0.4)
+        for _ in range(40)
+    ]
+    unmatched = 0
+    for inst in complete + incomplete:
         short = symmetric_shortlists(inst)
         assert all_stable_matchings_bruteforce(inst) == all_stable_matchings_bruteforce(short)
+        # the same agents are single in every stable matching; they keep nothing
+        mu0 = gale_shapley(inst, MAN)
+        single_men = [m for m in range(inst.n_men) if mu0.woman_of(m) is None]
+        single_women = [w for w in range(inst.n_women) if mu0.man_of(w) is None]
+        assert all(short.men_prefs[m] == () for m in single_men)
+        assert all(short.women_prefs[w] == () for w in single_women)
+        unmatched += len(single_men) + len(single_women)
+    assert unmatched > 0
 
 
 def test_complete_preferences_identity_on_complete(example_instance):

@@ -31,6 +31,7 @@ from smposet import (
     transitive_reduction,
     validate_decomposition,
 )
+from smposet import realize
 
 from conftest import corrupt_bags, data_text, posets_upto_isomorphism, random_dag
 
@@ -110,9 +111,23 @@ def test_construct_empty_poset():
     assert inst.n_men == inst.n_women == 0
 
 
-def test_construct_rejects_missing_color():
-    with pytest.raises(ValidationError, match="color"):
-        construct_instance(Dag(2, [(1, 2)]), colors={})
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"colors": {}}, "edge (1, 2) has no color"),
+        ({"colors": {(1, 2): 0}}, "edge colors must be positive"),
+        ({"color_sets": {1: (1, 2)}}, "no color set for vertex 2"),
+        ({"color_sets": {1: (1, 1), 2: (1, 2)}},
+         "color set of vertex 1 must have >= 2 distinct colors"),
+        ({"color_sets": {1: (1, 2), 2: (2,)}},
+         "color set of vertex 2 must have >= 2 distinct colors"),
+        ({"color_sets": {1: (2, 3), 2: (1, 2)}}, "edge (1,2) color 1 missing from a color set"),
+    ],
+)
+def test_construct_rejects_missing_color(kwargs, message):
+    with pytest.raises(ValidationError) as info:
+        construct_instance(Dag(2, [(1, 2)]), **kwargs)
+    assert str(info.value) == message
 
 
 def test_construct_rejects_bad_ordering():
@@ -210,12 +225,27 @@ def test_complete_preferences_preserves_bounded3_digraph():
 # --- attr6 ----------------------------------------------------------------
 
 
-def test_attr6_prefix_matches_bounded_lists():
+def test_attr6_prefix_matches_bounded_lists(monkeypatch):
     res = realize_attr6(DIAMOND)
     base = realize_bounded3(DIAMOND)
     for m in range(base.n_men):
         got = list(res.instance.men_prefs[m][: len(base.men_prefs[m])])
         assert got == list(base.men_prefs[m])
+    for w in range(base.n_women):
+        got = list(res.instance.women_prefs[w][: len(base.women_prefs[w])])
+        assert got == list(base.women_prefs[w])
+    # a functional that misorders one agent's bounded prefix, on either side, is caught
+    evaluate = realize.evaluate_profiles
+    for side in (0, 1):
+        def misordered(*args, side=side):
+            inst = evaluate(*args)
+            prefs = [list(inst.men_prefs), list(inst.women_prefs)]
+            prefs[side][0] = prefs[side][0][::-1]
+            return Instance(*prefs, inst.men_labels, inst.women_labels)
+
+        monkeypatch.setattr(realize, "evaluate_profiles", misordered)
+        with pytest.raises(ValidationError, match="does not honor the bounded prefix"):
+            realize_attr6(DIAMOND)
 
 
 def test_attr6_total_and_strict_for_n3():
