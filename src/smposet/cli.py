@@ -36,11 +36,10 @@ from .pathdecomp import (
 from .downsets import count_downsets
 from .rotations import all_stable_matchings_bruteforce, rotation_digraph
 from .fairness import (
-    balanced_bruteforce,
+    _optimize,
     count_stable_matchings,
     median_and_count,
     sample_stable_matchings,
-    sex_equal_bruteforce,
 )
 from .realize import (
     realize_attr6,
@@ -227,10 +226,7 @@ def _cmd_median(args) -> int:
 
 def _cmd_fair(args) -> int:
     inst = parse_instance(_read(args.instance))
-    if args.objective == "sexequal":
-        mu, scores = sex_equal_bruteforce(inst)
-    else:
-        mu, scores = balanced_bruteforce(inst)
+    mu, scores = _optimize(inst, "delta" if args.objective == "sexequal" else "beta")
     _print_matching(inst, mu, sys.stdout)
     print(f"SM {scores.s_men}")
     print(f"SW {scores.s_women}")

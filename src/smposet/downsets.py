@@ -1,7 +1,13 @@
 """Counting, exactly uniform sampling and per-vertex marginals of the
-downsets of a DAG, all from one table DP (`_dp`) over an insert order.
-Counting keeps no tables; sampling and marginals keep the table before each
-forget step and walk the steps backward over them.
+downsets of a DAG, all over one step plan (`_plan`) of an insert order.
+The plan holds the DP's bookkeeping, computed once and lazily: each
+insert's slot, the slot masks of its live neighbours and the vertices
+forgotten after it. Each use runs only its table update over the plan.
+Counting keeps no tables and does all of an insert's forgets in one pass;
+`_dp` yields every insert and forget as a step, and sampling and marginals
+keep the table before each forget step and walk the steps backward over
+them. `fairness._optimize` runs the same plan with tables of least
+rotation-id bitmasks to find sex-equal and balanced stable matchings.
 
 The DP inserts the vertices in the given order and forgets each vertex as
 soon as its last neighbour is inserted, so its tables span only the live
@@ -36,38 +42,45 @@ HARD_WIDTH_CAP = 30
 MAX_STATES = 1 << 20
 
 
-def _dp(
+def _caps(live: int, states: int) -> None:
+    """Raise CapExceededError for an insert that would make more than
+    HARD_WIDTH_CAP + 1 vertices live, or would grow a table of `states`
+    entries past where it could pass MAX_STATES, checked in that order.
+    """
+    if live > HARD_WIDTH_CAP + 1:
+        raise CapExceededError(f"{live} live vertices exceed width cap {HARD_WIDTH_CAP}")
+    if 2 * states > MAX_STATES:
+        raise CapExceededError(f"{2 * states} DP states exceed cap {MAX_STATES}")
+
+
+def _plan(
     order: list[int],
     in_adj: dict[int, tuple[int, ...]],
     out_adj: dict[int, tuple[int, ...]],
 ):
-    """The table update loop over an insert order, which must hold each
-    vertex of in_adj once. Yields (v, vbit, inserted, table) per step: the
-    vertex, its slot bit, whether it was inserted, and the new table. A table
-    maps a bitmask over the slots of the live vertices to the number of
-    downsets of the inserted subgraph that meet them exactly there.
+    """The DP's bookkeeping over an insert order, which must hold each vertex
+    of in_adj once, computed lazily: one tuple (live, v, vbit, umask, wmask,
+    forgets) per insert. live is the number of vertices live once v is in,
+    vbit the slot bit of v, umask and wmask the slot bits of its live in- and
+    out-neighbours, and forgets maps the vertices forgotten right after the
+    insert, in ascending order, to their slot bits.
 
     A vertex whose neighbours are all inserted constrains no later step, so
-    it is forgotten right after the insert that finished it, in ascending
-    vertex order, and frees its slot for a later insert. A seen neighbour of
-    an unseen vertex is therefore still live, so the slots tell live
-    neighbours from unseen ones.
+    it is forgotten right after the insert that finished it and frees its
+    slot for a later insert. A seen neighbour of an unseen vertex is
+    therefore still live, so the slots tell live neighbours from unseen ones.
 
-    Raises CapExceededError at an insert that would make more than
-    HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
+    Stops after the first insert that makes more than HARD_WIDTH_CAP + 1
+    vertices live, which its reader refuses, so a refused order never costs
+    masks of more than that many bits.
     """
     width_cap = HARD_WIDTH_CAP
     slot: dict[int, int] = {}
     free: list[int] = []
     # the number of unseen neighbours of the vertex in each slot
     left: dict[int, int] = {}
-    table: dict[int, int] = {0: 1}
     for v in order:
         live = len(slot) + 1
-        if live > width_cap + 1:
-            raise CapExceededError(f"{live} live vertices exceed width cap {width_cap}")
-        if 2 * len(table) > MAX_STATES:
-            raise CapExceededError(f"{2 * len(table)} DP states exceed cap {MAX_STATES}")
         done = []
         umask = 0
         for u in in_adj[v]:
@@ -90,29 +103,65 @@ def _dp(
         s = free.pop() if free else len(slot)
         left[s] = unseen
         slot[v] = s
-        vbit = 1 << s
-        # slot vbit is free in every key, so no two writes meet and no
-        # count is copied by adding it to 0
-        new: dict[int, int] = {}
-        for a, c in table.items():
-            if not a & wmask:
-                new[a] = c
-            if a & umask == umask:
-                new[a | vbit] = c
-        table = new
-        yield v, vbit, True, table
         if not unseen:
             done.append(v)
         done.sort()
+        forgets = {}
         for u in done:
-            s = slot.pop(u)
-            free.append(s)
-            ubit = 1 << s
-            new = {}
-            for a, c in table.items():
-                key = a & ~ubit
-                new[key] = new[key] + c if key in new else c
-            table = new
+            s_u = slot.pop(u)
+            free.append(s_u)
+            forgets[u] = 1 << s_u
+        yield live, v, 1 << s, umask, wmask, forgets
+        if live > width_cap + 1:
+            return
+
+
+def _insert(table: dict[int, int], vbit: int, umask: int, wmask: int) -> dict[int, int]:
+    """The table after inserting the vertex of slot vbit: each state keeps
+    its count without it, when none of its live out-neighbours is in, and
+    with it, when all of its live in-neighbours are. Slot vbit is free in
+    every key, so no two writes meet and no count is copied by adding it to 0.
+    """
+    new: dict[int, int] = {}
+    for a, c in table.items():
+        if not a & wmask:
+            new[a] = c
+        if a & umask == umask:
+            new[a | vbit] = c
+    return new
+
+
+def _forget(table: dict[int, int], keep: int) -> dict[int, int]:
+    """The table summed over the slot bits outside keep."""
+    new: dict[int, int] = {}
+    for a, c in table.items():
+        key = a & keep
+        new[key] = new[key] + c if key in new else c
+    return new
+
+
+def _dp(
+    order: list[int],
+    in_adj: dict[int, tuple[int, ...]],
+    out_adj: dict[int, tuple[int, ...]],
+):
+    """The table update loop over the plan of an insert order. Yields
+    (v, vbit, inserted, table) per step: the vertex, its slot bit, whether it
+    was inserted, and the new table. A table maps a bitmask over the slots of
+    the live vertices to the number of downsets of the inserted subgraph
+    that meet them exactly there. Each vertex the plan forgets after an
+    insert is its own step, so a backward walk can decide it alone.
+
+    Raises CapExceededError at an insert that would make more than
+    HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
+    """
+    table: dict[int, int] = {0: 1}
+    for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
+        _caps(live, len(table))
+        table = _insert(table, vbit, umask, wmask)
+        yield v, vbit, True, table
+        for u, ubit in forgets.items():
+            table = _forget(table, ~ubit)
             yield u, ubit, False, table
 
 
@@ -131,8 +180,13 @@ def count_downsets(g: Dag, x: PathDecomposition) -> int:
     HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
     """
     table = {0: 1}
-    for _v, _vbit, _inserted, table in _dp(_insert_order(g, x), g.in_adj, g.out_adj):
-        pass
+    for live, _v, vbit, umask, wmask, forgets in _plan(
+        _insert_order(g, x), g.in_adj, g.out_adj
+    ):
+        _caps(live, len(table))
+        table = _insert(table, vbit, umask, wmask)
+        if forgets:
+            table = _forget(table, ~sum(forgets.values()))
     return sum(table.values())
 
 

@@ -1,5 +1,7 @@
 """Instance-level counting, exact uniform sampling, median stable matchings,
-and brute-force sex-equal / balanced optimization.
+and exact sex-equal / balanced stable matchings (`_optimize`), all by the
+downset DP over the cut of `_prepare`. The brute-force optimizers, which
+list every stable matching, are kept as oracles.
 """
 from __future__ import annotations
 
@@ -8,13 +10,21 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, ValidationError
-from .downsets import count_downsets, downset_marginals, sample_downsets
+from . import downsets
+from .downsets import (
+    _caps,
+    _insert_order,
+    _plan,
+    count_downsets,
+    downset_marginals,
+    sample_downsets,
+)
 from .instance import Instance, Matching, compute_range
 from .pathdecomp import PathDecomposition, _extent_order, _layout_bags
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
-# brute-force `fair` lists every stable matching, so it refuses more than this
+# the brute-force optimizers list every stable matching, so they refuse more than this
 MAX_MATCHINGS = 10**6
 
 
@@ -109,15 +119,84 @@ def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
     return median_and_count(inst, upper)[0]
 
 
-def _optimize(inst: Instance, key_name: str):
+def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
+    """The stable matching of least `key_name` score, "delta" or "beta", and
+    its scores, by one DP pass over the plan, in time pseudo-polynomial in
+    n^2 and exponential only in the live width. Ties go to the downset of
+    least rotation-id bitmask, sum of 2^id.
+
+    Eliminating a rotation moves each man m_i from w_i down to w_{i+1} and
+    each woman w_{i+1} from m_{i+1} up to m_i, so it adds a fixed up > 0 to
+    S_M and takes a fixed down > 0 from S_W, whatever the downset. A table
+    key packs the live slots' mask under a weight of the inserted rotations:
+    the sum of up + down, which fixes S_M - S_W, or, for beta, both sums with
+    up's in the high bits. Its value is the least bitmask of the partial
+    downsets with that key; an extension adds the same bits to all of them,
+    so the least stays least, and it names the optimal downset at the end.
+
+    Scores the man-optimal matching first, so an instance that leaves an
+    agent unmatched is refused by `FairnessScores.of`: by the rural
+    hospitals theorem, every stable matching leaves the same agents single.
+    """
+    dg, g, x = _prepare(inst)
+    base = FairnessScores.of(inst, dg.man_optimal)
+    moves = []
+    for rho in dg.rotations:
+        pairs = rho.pairs
+        up = down = 0
+        for (m, w), (m2, w2) in zip(pairs, pairs[1:] + pairs[:1]):
+            up += inst.men_rank[m][w2] - inst.men_rank[m][w]
+            down += inst.women_rank[w2][m2] - inst.women_rank[w2][m]
+        moves.append((up, down))
+    if key_name == "delta":
+        weights = [up + down for up, down in moves]
+
+        def score(t: int) -> int:
+            return abs(base.s_men - base.s_women + t)
+    else:
+        low = sum(down for _up, down in moves).bit_length()
+
+        def score(t: int) -> int:
+            return max(base.s_men + (t >> low), base.s_women - (t & ((1 << low) - 1)))
+
+        weights = [(up << low) + down for up, down in moves]
+    # the live slots' bits sit below this, since an insert past the cap is refused
+    shift = downsets.HARD_WIDTH_CAP + 1
+    table = {0: 0}
+    for live, v, vbit, umask, wmask, forgets in _plan(
+        _insert_order(g, x), g.in_adj, g.out_adj
+    ):
+        _caps(live, len(table))
+        step = (weights[v - 1] << shift) + vbit
+        idbit = 1 << (v - 1)
+        new = {}
+        for k, b in table.items():
+            if not k & wmask:
+                new[k] = b
+            if k & umask == umask:
+                new[k + step] = b + idbit
+        table = new
+        if forgets:
+            keep = ~sum(forgets.values())
+            new = {}
+            for k, b in table.items():
+                k &= keep
+                if k not in new or b < new[k]:
+                    new[k] = b
+            table = new
+    _t, least = min((score(k >> shift), b) for k, b in table.items())
+    mu = matching_from_downset(inst, dg, [i for i in range(len(dg.rotations)) if least >> i & 1])
+    return mu, FairnessScores.of(inst, mu)
+
+
+def _bruteforce(inst: Instance, key_name: str):
     # count first: listing 2^p downsets would never return
     dg, g, x = _prepare(inst)
     total = count_downsets(g, x)
     if total > MAX_MATCHINGS:
         raise CapExceededError(f"{total} stable matchings exceed cap {MAX_MATCHINGS}")
-    downsets = enumerate_downsets_bruteforce(g, max_p=g.p)
     best: Optional[tuple] = None
-    for zs in downsets:
+    for zs in enumerate_downsets_bruteforce(g, max_p=g.p):
         ids = tuple(sorted(v - 1 for v in zs))
         mu = matching_from_downset(inst, dg, ids)
         scores = FairnessScores.of(inst, mu)
@@ -134,11 +213,11 @@ def sex_equal_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
     CapExceededError, before listing any, if there are more than
     MAX_MATCHINGS.
     """
-    return _optimize(inst, "delta")
+    return _bruteforce(inst, "delta")
 
 
 def balanced_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
     """Stable matching minimizing max(S_M, S_W), same search and cap as
     sex-equal.
     """
-    return _optimize(inst, "beta")
+    return _bruteforce(inst, "beta")

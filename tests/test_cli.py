@@ -7,14 +7,19 @@ from pathlib import Path
 import pytest
 
 from smposet import (
+    Dag,
     FairnessScores,
     ParseError,
     ValidationError,
     all_stable_matchings_bruteforce,
     check_realization,
+    format_instance,
+    matching_from_downset,
     parse_dag,
     parse_decomposition,
     parse_instance,
+    realize_complete,
+    rotation_digraph,
 )
 from smposet import cli
 from smposet.cli import main
@@ -279,6 +284,32 @@ def test_fair_output(workdir, capsys):
     lines = out.strip().splitlines()
     assert "delta 3" in lines
     assert lines[0] == "m1 w2"
+
+
+def test_fair_past_the_listing_cap(tmp_path, capsys):
+    # 2^40 stable matchings, more than the brute force lists. The rotations
+    # are independent, so the reachable scores are the man-optimal ones plus
+    # a subset sum of the 40 single-rotation score changes
+    inst = realize_complete(Dag(40, []))
+    path = tmp_path / "antichain40.sm"
+    path.write_text(format_instance(inst))
+    dg = rotation_digraph(inst)
+    base = FairnessScores.of(inst, dg.man_optimal)
+    sums = {(0, 0)}
+    for i in range(40):
+        one = FairnessScores.of(inst, matching_from_downset(inst, dg, {i}))
+        dm, dw = one.s_men - base.s_men, one.s_women - base.s_women
+        sums |= {(a + dm, b + dw) for a, b in sums}
+    reached = {(base.s_men + a, base.s_women + b) for a, b in sums}
+    for objective, key, want in (
+        ("sexequal", "delta", min(abs(sm - sw) for sm, sw in reached)),
+        ("balanced", "beta", min(max(sm, sw) for sm, sw in reached)),
+    ):
+        code, out, err = run(capsys, "fair", "--instance", path, "--objective", objective)
+        assert code == 0 and err == ""
+        got = dict(line.split() for line in out.splitlines()[inst.n_men:])
+        assert got[key] == str(want)
+        assert (int(got["SM"]), int(got["SW"])) in reached
 
 
 def test_fair_on_incomplete_instances(workdir, capsys):

@@ -167,16 +167,21 @@ def test_width_cap_counts_live_vertices():
     # the cap reads the live vertices, not the bag size: the width-3 ladder
     # i -> i+1, i+2, i+3 given as one bag keeps four vertices live, and an
     # antichain in one bag keeps one
+    from smposet import downsets
+
     n = 2000
     ladder = Dag(n, [(i, i + d) for i in range(1, n + 1) for d in (1, 2, 3) if i + d <= n])
     assert count_downsets(ladder, _one_bag(n)) == n + 1
     assert count_downsets(Dag(40, []), _one_bag(40)) == 2**40
     # the chain 1 -> ... -> n-1 with every vertex also pointing to the sink n
     # keeps each vertex live until n is inserted: its tables hold at most n+1
-    # states, so only the width cap stops it, at the 32nd insert
+    # states, so only the width cap stops it, at the 32nd insert, and the
+    # lazy plan stops there too, before it builds masks of more bits
     g = _chain_with_sink(n)
     with pytest.raises(CapExceededError, match="^32 live vertices exceed width cap 30$"):
         count_downsets(g, _one_bag(n))
+    plan = list(downsets._plan(list(range(1, n + 1)), g.in_adj, g.out_adj))
+    assert [live for live, *_rest in plan] == list(range(1, 33))
     _done, refusal = _steps(order_dp, g, _one_bag(n).bags)
     assert refusal == (CapExceededError, "32 live vertices exceed width cap 30", 31)
 

@@ -11,6 +11,7 @@ from smposet import (
     FairnessScores,
     Instance,
     Matching,
+    PathDecomposition,
     all_stable_matchings_bruteforce,
     balanced_bruteforce,
     blocking_pairs,
@@ -19,6 +20,7 @@ from smposet import (
     downset_from_matching,
     enumerate_downsets_bruteforce,
     gale_shapley,
+    matching_from_downset,
     median_and_count,
     median_stable_matching,
     parse_instance,
@@ -34,7 +36,7 @@ from smposet import (
     to_nice,
     validate_decomposition,
 )
-from smposet.fairness import _prepare
+from smposet.fairness import _optimize, _prepare
 
 from conftest import (
     data_text,
@@ -199,17 +201,60 @@ def test_optimizers_beat_extremes():
         assert ba.beta <= min(d0.beta, dz.beta)
 
 
+def _band_poset(rng, p):
+    """Edges (i, i + d) for d <= 3, each kept with probability 1/2."""
+    return Dag(p, [
+        (i, i + d) for i in range(1, p + 1) for d in (1, 2, 3) if i + d <= p and rng.random() < 0.5
+    ])
+
+
 def test_fair_matches_exhaustive_scan():
+    # the DP's optimum against a scan of every stable matching and against
+    # the brute force, and its matching against the scan's least (score,
+    # sum of 2^id over the rotation ids of its downset): random complete
+    # instances, random incomplete ones in which every agent is matched, and
+    # band posets realized under the five models, whose matchings come from
+    # their listed downsets
     rng = random.Random(233)
-    for _ in range(15):
-        inst = random_complete_instance(rng, 6)
-        matchings = all_stable_matchings_bruteforce(inst)
-        best_delta = min(FairnessScores.of(inst, mu).delta for mu in matchings)
-        best_beta = min(FairnessScores.of(inst, mu).beta for mu in matchings)
-        _, se = sex_equal_bruteforce(inst)
-        _, ba = balanced_bruteforce(inst)
-        assert se.delta == best_delta
-        assert ba.beta == best_beta
+    complete = [random_complete_instance(rng, 6) for _ in range(15)]
+    complete += [random_complete_instance(rng, rng.randint(1, 9)) for _ in range(25)]
+    # found by a seed search: the extent cuts of these insert a rotation
+    # after one of its successors, so an insert must drop the states that
+    # hold a live out-neighbour
+    for seed in (2893, 3517):
+        found = random.Random(seed)
+        complete.append(random_complete_instance(found, found.randint(4, 16)))
+    cases = [(inst, all_stable_matchings_bruteforce(inst, max_size=inst.n_men)) for inst in complete]
+    incomplete = 0
+    while incomplete < 30:
+        n = rng.randint(2, 6)
+        inst = random_incomplete_instance(rng, n, n, rng.choice([0.5, 0.7, 0.9]))
+        if not inst.is_complete and len(gale_shapley(inst, MAN).pairs) == n:
+            incomplete += 1
+            cases.append((inst, stable_matchings_by_matching_scan(inst)))
+    for p in (12, 20):
+        g = _band_poset(rng, p)
+        bags = PathDecomposition.of([range(i, i + 4) for i in range(1, p - 2)])
+        for inst in (
+            realize_complete(g),
+            realize_bounded3(g),
+            realize_list2inf(g).instance,
+            realize_attr6(g).instance,
+            realize_range(g, bags),
+        ):
+            dg = rotation_digraph(inst)
+            downsets = enumerate_downsets_bruteforce(dg.dag(), max_p=p)
+            matchings = [matching_from_downset(inst, dg, {v - 1 for v in z}) for z in downsets]
+            cases.append((inst, matchings))
+    for inst, matchings in cases:
+        dg = rotation_digraph(inst)
+        bits = [sum(1 << i for i in downset_from_matching(inst, dg, mu)) for mu in matchings]
+        for key, bruteforce in (("delta", sex_equal_bruteforce), ("beta", balanced_bruteforce)):
+            scores = [getattr(FairnessScores.of(inst, mu), key) for mu in matchings]
+            best = min(range(len(matchings)), key=lambda i: (scores[i], bits[i]))
+            mu, got = _optimize(inst, key)
+            assert getattr(got, key) == scores[best] == getattr(bruteforce(inst)[1], key)
+            assert mu == matchings[best]
 
 
 def test_fair_cap(monkeypatch):
