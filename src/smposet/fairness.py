@@ -19,7 +19,7 @@ from .downsets import (
     downset_marginals,
     sample_downsets,
 )
-from .instance import Instance, Matching, compute_range
+from .instance import Instance, Matching, _min_ranks
 from .pathdecomp import PathDecomposition, _extent_order, _layout_bags
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
@@ -67,12 +67,17 @@ def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, PathDecomposition]:
     tie). A vertex in that cut's bag i has an extent covering the lower end
     of the i-th rotation, since every edge joins overlapping extents, so its
     width is at most that of the extent decomposition, 50 k^2 for range k.
+    That order follows each rotation's least agent minrank, read by
+    `_min_ranks`' early-stopping column sweep; it needs no k or maxranks.
     """
     dg = rotation_digraph(inst)
     g = transitive_reduction(dg.dag())
     x = _layout_bags(g, g.vertices())
     if inst.is_complete:
-        y = _layout_bags(g, _extent_order(dg, compute_range(inst)))
+        order = _extent_order(
+            dg, _min_ranks(inst.women_prefs, inst.n_men), _min_ranks(inst.men_prefs, inst.n_women)
+        )
+        y = _layout_bags(g, order)
         if y.width < x.width:
             x = y
     return dg, g, x

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Optional, Sequence
 
 from . import _text
@@ -88,6 +88,11 @@ class Instance:
 
     Lists must be consistent: woman w appears on man m's list if and only if
     m appears on w's. Ranks are 1-based, matching the usual P_a(b) notation.
+
+    `Instance(...)` takes outside input and checks all of it (`_validate`).
+    `parse_instance` builds through `_parsed`, which skips the checks the
+    parser has already made; both run `_index`, and a fault is named the
+    same way on either path.
     """
 
     def __init__(
@@ -97,25 +102,62 @@ class Instance:
         men_labels: Optional[Sequence[str]] = None,
         women_labels: Optional[Sequence[str]] = None,
     ):
-        self.men_prefs = _exact_int_lists(men_prefs)
-        self.women_prefs = _exact_int_lists(women_prefs)
-        self.n_men = len(self.men_prefs)
-        self.n_women = len(self.women_prefs)
-        self.men_labels = _labels(men_labels, MAN, self.n_men)
-        self.women_labels = _labels(women_labels, WOMAN, self.n_women)
+        self._fill(_exact_int_lists(men_prefs), _exact_int_lists(women_prefs), men_labels, women_labels)
         self._validate()
 
+    @classmethod
+    def _parsed(
+        cls,
+        men_prefs: tuple[tuple[int, ...], ...],
+        women_prefs: tuple[tuple[int, ...], ...],
+        men_labels: Sequence[str],
+        women_labels: Sequence[str],
+    ) -> "Instance":
+        """An instance from `parse_instance`, whose lists are tuples of exact
+        ints in range and whose labels are counted and distinct: only the
+        checks the parser cannot make, those of `_index`, run.
+        """
+        inst = cls.__new__(cls)
+        inst._fill(men_prefs, women_prefs, men_labels, women_labels)
+        inst._index(True)
+        return inst
+
+    def _fill(
+        self,
+        men_prefs: tuple[tuple[int, ...], ...],
+        women_prefs: tuple[tuple[int, ...], ...],
+        men_labels: Optional[Sequence[str]],
+        women_labels: Optional[Sequence[str]],
+    ) -> None:
+        self.men_prefs = men_prefs
+        self.women_prefs = women_prefs
+        self.n_men = len(men_prefs)
+        self.n_women = len(women_prefs)
+        self.men_labels = _labels(men_labels, MAN, self.n_men)
+        self.women_labels = _labels(women_labels, WOMAN, self.n_women)
+
     def _validate(self) -> None:
-        """Check labels and lists and build the rank dicts. One C-speed test
-        accepts the lists: no repeats, in range, and equal pair sets on the two
-        sides (equal totals, and every man on a woman's list lists her). Only
-        when it fails does `_first_fault` walk the lists to name the fault.
+        """The checks for outside input, which `parse_instance` has already
+        made on what it reads: label counts, distinct labels, and each side's
+        entries in range by one min and one max. Then `_index`.
         """
         if len(self.men_labels) != self.n_men or len(self.women_labels) != self.n_women:
             raise ValidationError("label count does not match agent count")
         for side, labels in ((MAN, self.men_labels), (WOMAN, self.women_labels)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate label on side {side!r}")
+        self._index(
+            _in_range(self.men_prefs, self.n_women) and _in_range(self.women_prefs, self.n_men)
+        )
+
+    def _index(self, in_range: bool) -> None:
+        """The checks both paths share: build the rank dicts and check the
+        lists, given whether every entry is in range (a parsed one always
+        is). One C-speed test accepts them: no repeats, in range, and equal
+        pair sets on the two sides (complete lists, or equal totals and every
+        man on a woman's list listing her). Only when it fails does
+        `_first_fault` walk the lists to name the fault.
+        """
         men, women = self.men_prefs, self.women_prefs
         # one int per rank, shared by every list: ranks above 256 are not
         # cached by Python, so each list would otherwise hold its own
@@ -125,8 +167,7 @@ class Instance:
         if not (
             list(map(len, men_rank)) == list(map(len, men))
             and list(map(len, women_rank)) == list(map(len, women))
-            and _in_range(men, self.n_women)
-            and _in_range(women, self.n_men)
+            and in_range
             and (
                 self.is_complete
                 or sum(map(len, men)) == sum(map(len, women))
@@ -242,7 +283,7 @@ def parse_instance(text: str) -> Instance:
         except KeyError as exc:
             raise ParseError(f"{name} ranks unknown agent {exc.args[0]!r}") from None
     try:
-        return Instance(prefs[:n_men], prefs[n_men:], men_labels, women_labels)
+        return Instance._parsed(tuple(prefs[:n_men]), tuple(prefs[n_men:]), men_labels, women_labels)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 
@@ -338,6 +379,27 @@ def _rank_bounds(lists: Sequence[Sequence[int]], n: int) -> tuple[list[int], lis
             if r > maxrank[j]:
                 maxrank[j] = r
     return [0 if r == INF else r for r in orank], maxrank
+
+
+def _min_ranks(lists: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Each of the n agents' least rank on one side's lists, 0 for an agent
+    that no one ranks. Sweeps the rank columns top-down, lazily, and stops
+    once every agent has been seen: on uniform complete lists that is after
+    about ln n columns, O(n log n) entries, and never more than all of them.
+    A list that has run out fills its column with n, a slot never fresh.
+    """
+    orank = [0] * n + [-1]
+    left = n
+    if left:
+        for r, column in enumerate(zip_longest(*lists, fillvalue=n), start=1):
+            for j in column:
+                if not orank[j]:
+                    orank[j] = r
+                    left -= 1
+            if not left:
+                break
+    del orank[n]
+    return orank
 
 
 def compute_range(inst: Instance) -> RangeProfile:

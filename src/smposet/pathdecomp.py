@@ -176,11 +176,15 @@ def _extent_bags(
     return PathDecomposition(tuple(bags))
 
 
-def _extent_order(dg: RotationDigraph, profile: RangeProfile) -> list[int]:
+def _extent_order(
+    dg: RotationDigraph, orank_men: Sequence[int], orank_women: Sequence[int]
+) -> list[int]:
     """The DAG vertices of dg (rotation id + 1) ordered by the lower end of
-    their rotation's extent, then by id.
+    their rotation's extent, then by id. That lower end is the least minrank
+    of the rotation's agents less 2k-1, the same shift for every rotation,
+    so the order needs only the minranks.
     """
-    lo = [extent_of(rho, profile).lo for rho in dg.rotations]
+    lo = [min(min(orank_men[m], orank_women[w]) for m, w in rho.pairs) for rho in dg.rotations]
     return sorted(range(1, len(lo) + 1), key=lambda v: (lo[v - 1], v))
 
 

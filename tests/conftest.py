@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from itertools import chain
 from pathlib import Path
 
@@ -47,6 +48,47 @@ def random_incomplete_instance(rng, n_men: int, n_women: int, edge_prob: float =
     for lst in men + women:
         rng.shuffle(lst)
     return Instance(men, women)
+
+
+def band_poset(rng, p: int) -> Dag:
+    """Edges (i, i + d) for d <= 3, each kept with probability 1/2."""
+    return Dag(p, [
+        (i, i + d) for i in range(1, p + 1) for d in (1, 2, 3) if i + d <= p and rng.random() < 0.5
+    ])
+
+
+def minrank_instances() -> list[Instance]:
+    """Instances on which minranks are checked: seeded random complete ones
+    with n = 1..40 and n = 300; a master-list one, in which each rank column
+    adds one agent; SM 2 0 and SM 0 0; and the five models' realizations of
+    a seeded p=20 band poset, some of them with incomplete lists.
+    """
+    from smposet import (
+        parse_instance,
+        realize_attr6,
+        realize_bounded3,
+        realize_complete,
+        realize_list2inf,
+        realize_range,
+    )
+
+    rng = random.Random(173)
+    out = [random_complete_instance(rng, n) for n in range(1, 41)]
+    out.append(random_complete_instance(rng, 300))
+    order = rng.sample(range(30), 30)
+    out.append(Instance([order] * 30, [order] * 30))
+    out += [parse_instance("SM 2 0\nm1:\nm2:\n"), parse_instance("SM 0 0\n")]
+    # renamed, so that rotation ids do not follow the band
+    name = [0] + rng.sample(range(1, 21), 20)
+    g = Dag(20, [(name[u], name[v]) for u, v in band_poset(rng, 20).edges])
+    out += [
+        realize_complete(g),
+        realize_bounded3(g),
+        realize_list2inf(g).instance,
+        realize_attr6(g).instance,
+        realize_range(g, PathDecomposition.of([[name[v] for v in range(i, i + 4)] for i in range(1, 18)])),
+    ]
+    return out
 
 
 def stable_matchings_by_matching_scan(inst: Instance) -> list[Matching]:

@@ -15,10 +15,12 @@ from smposet import (
     all_stable_matchings_bruteforce,
     balanced_bruteforce,
     blocking_pairs,
+    compute_range,
     construct_instance,
     count_stable_matchings,
     downset_from_matching,
     enumerate_downsets_bruteforce,
+    extent_of,
     gale_shapley,
     matching_from_downset,
     median_and_count,
@@ -37,9 +39,13 @@ from smposet import (
     validate_decomposition,
 )
 from smposet.fairness import _optimize, _prepare
+from smposet.instance import _min_ranks
+from smposet.pathdecomp import _extent_order, _layout_bags
 
 from conftest import (
+    band_poset,
     data_text,
+    minrank_instances,
     posets_upto_isomorphism,
     random_complete_instance,
     random_dag,
@@ -201,11 +207,22 @@ def test_optimizers_beat_extremes():
         assert ba.beta <= min(d0.beta, dz.beta)
 
 
-def _band_poset(rng, p):
-    """Edges (i, i + d) for d <= 3, each kept with probability 1/2."""
-    return Dag(p, [
-        (i, i + d) for i in range(1, p + 1) for d in (1, 2, 3) if i + d <= p and rng.random() < 0.5
-    ])
+def test_prepare_cut_follows_extent_lower_ends():
+    # the order of least minranks is the order of extent lower ends, which
+    # fixes every seeded draw
+    for inst in minrank_instances():
+        dg, g, x = _prepare(inst)
+        by_id = _layout_bags(g, g.vertices())
+        if inst.is_complete:
+            profile = compute_range(inst)
+            lo = [extent_of(rho, profile).lo for rho in dg.rotations]
+            order = sorted(g.vertices(), key=lambda v: (lo[v - 1], v))
+            orank = (_min_ranks(inst.women_prefs, inst.n_men), _min_ranks(inst.men_prefs, inst.n_women))
+            assert _extent_order(dg, *orank) == order
+            y = _layout_bags(g, order)
+            assert x == (y if y.width < by_id.width else by_id)
+        else:
+            assert x == by_id
 
 
 def test_fair_matches_exhaustive_scan():
@@ -233,7 +250,7 @@ def test_fair_matches_exhaustive_scan():
             incomplete += 1
             cases.append((inst, stable_matchings_by_matching_scan(inst)))
     for p in (12, 20):
-        g = _band_poset(rng, p)
+        g = band_poset(rng, p)
         bags = PathDecomposition.of([range(i, i + 4) for i in range(1, p - 2)])
         for inst in (
             realize_complete(g),

@@ -19,9 +19,9 @@ from smposet import (
     parse_instance,
     symmetric_shortlists,
 )
-from smposet.instance import gale_shapley as _gs
+from smposet.instance import _min_ranks, gale_shapley as _gs
 
-from conftest import random_complete_instance, random_incomplete_instance
+from conftest import minrank_instances, random_complete_instance, random_incomplete_instance
 
 MU0 = Matching([(0, 0), (1, 1), (2, 2), (3, 3)])
 MU3 = Matching([(0, 3), (1, 0), (2, 1), (3, 2)])
@@ -283,10 +283,19 @@ def test_format_round_trip(example_instance):
 
 
 def test_format_round_trip_random():
+    # incomplete lists are the only ones on which a parsed instance still
+    # runs the consistency test, so they are drawn too
     rng = random.Random(11)
-    for _ in range(20):
-        inst = random_complete_instance(rng, rng.randint(1, 6))
-        assert parse_instance(format_instance(inst)) == inst
+    cases = [random_complete_instance(rng, rng.randint(1, 6)) for _ in range(20)]
+    cases += [random_complete_instance(rng, rng.randint(7, 60)) for _ in range(5)]
+    cases += [
+        random_incomplete_instance(rng, rng.randint(0, 60), rng.randint(0, 60), rng.random())
+        for _ in range(25)
+    ]
+    for inst in cases:
+        parsed = parse_instance(format_instance(inst))
+        assert parsed == inst
+        assert parsed.men_rank == inst.men_rank and parsed.women_rank == inst.women_rank
 
 
 def test_ranks_above_256_built_and_parsed():
@@ -370,6 +379,20 @@ def test_optimality_across_all_stable_matchings():
             for m in range(inst.n_men):
                 rank = inst.men_rank[m]
                 assert rank[mu0.woman_of(m)] <= rank[mu.woman_of(m)] <= rank[muz.woman_of(m)]
+
+
+def test_min_ranks_match_rank_dicts():
+    def least(ranks, n):
+        out = [0] * n
+        for rank in ranks:
+            for j, r in rank.items():
+                if not out[j] or r < out[j]:
+                    out[j] = r
+        return out
+
+    for inst in minrank_instances():
+        assert _min_ranks(inst.women_prefs, inst.n_men) == least(inst.women_rank, inst.n_men)
+        assert _min_ranks(inst.men_prefs, inst.n_women) == least(inst.men_rank, inst.n_women)
 
 
 def test_compute_range_example(example_instance):

@@ -326,7 +326,7 @@ def test_extent_order_cut_no_wider_than_extent_bags():
         extent_width = _extent_bags(inst, dg, profile).width
         reduced = transitive_reduction(dg.dag())
         for g in (dg.dag(), reduced):
-            x = _layout_bags(g, _extent_order(dg, profile))
+            x = _layout_bags(g, _extent_order(dg, profile.orank_men, profile.orank_women))
             assert validate_by_rescan(g, x)
             assert x.width <= extent_width
         _dg, g, y = _prepare(inst)
