@@ -27,16 +27,15 @@ from .posets import (
     parse_dag,
 )
 from .pathdecomp import (
-    _extent_bags,
     format_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
-    to_nice,
 )
 from .downsets import count_downsets
-from .rotations import all_stable_matchings_bruteforce, rotation_digraph
+from .rotations import all_stable_matchings_bruteforce
 from .fairness import (
     _optimize,
+    _prepare,
     count_stable_matchings,
     median_and_count,
     sample_stable_matchings,
@@ -154,10 +153,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = parse_instance(_read(args.instance))
-    dg = rotation_digraph(inst)
-    if inst.is_complete:
-        profile = compute_range(inst)
-        x = to_nice(dg.dag(), _extent_bags(inst, dg, profile))
+    dg, _g, x = _prepare(inst)
     print(f"men {inst.n_men} women {inst.n_women} complete {'yes' if inst.is_complete else 'no'}")
     print(f"rotations {len(dg.rotations)}")
     for rho in dg.rotations:
@@ -170,13 +166,15 @@ def _cmd_analyze(args) -> int:
         tag = "".join(str(r) for r in sorted(rules))
         print(f"rho{a + 1} -> rho{b + 1} rule={tag}")
     if inst.is_complete:
+        profile = compute_range(inst)
         print(f"range {profile.k}")
         labels = inst.men_labels + inst.women_labels
         for label, r in zip(labels, profile.orank_men + profile.orank_women):
             print(f"minrank {label}: {r}")
-        print(f"decomposition width {x.width} bags {len(x.bags)}")
     else:
         print("range n/a (incomplete instance)")
+    # the cut the DP runs on, counted in the nice steps it expands into
+    print(f"decomposition width {x.width} bags {2 * len(x.bags)}")
     if args.dot:
         _write(args.dot, dg.to_dot(inst))
     return 0

@@ -365,23 +365,7 @@ def blocking_pairs(inst: Instance, mu: Matching) -> list[tuple[int, int]]:
     return out
 
 
-def _rank_bounds(lists: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
-    """Each of the n agents' least and greatest rank on one side's lists. An
-    agent that no one ranks (that side is empty) gets 0 for both.
-    """
-    INF = float("inf")
-    orank = [INF] * n
-    maxrank = [0] * n
-    for lst in lists:
-        for r, j in enumerate(lst, start=1):
-            if r < orank[j]:
-                orank[j] = r
-            if r > maxrank[j]:
-                maxrank[j] = r
-    return [0 if r == INF else r for r in orank], maxrank
-
-
-def _min_ranks(lists: Sequence[Sequence[int]], n: int) -> list[int]:
+def _min_ranks(lists: Sequence[Iterable[int]], n: int) -> list[int]:
     """Each of the n agents' least rank on one side's lists, 0 for an agent
     that no one ranks. Sweeps the rank columns top-down, lazily, and stops
     once every agent has been seen: on uniform complete lists that is after
@@ -403,11 +387,20 @@ def _min_ranks(lists: Sequence[Sequence[int]], n: int) -> list[int]:
 
 
 def compute_range(inst: Instance) -> RangeProfile:
-    """Exact range k and per-agent minrank/maxrank of a complete instance."""
+    """Exact range k and per-agent minrank/maxrank of a complete instance.
+
+    Both bounds come from `_min_ranks`' column sweep: the minranks from the
+    lists as they are, the maxranks from the lists read bottom-up. Complete
+    lists on one side all have length n, so rank r from the bottom is
+    n + 1 - r; an agent that no one ranks keeps 0 for both.
+    """
     if not inst.is_complete:
         raise ValidationError("range is defined for complete instances only")
-    orank_m, maxrank_m = _rank_bounds(inst.women_prefs, inst.n_men)
-    orank_w, maxrank_w = _rank_bounds(inst.men_prefs, inst.n_women)
+    bounds = []
+    for lists, n in ((inst.women_prefs, inst.n_men), (inst.men_prefs, inst.n_women)):
+        from_bottom = _min_ranks(list(map(reversed, lists)), n)
+        bounds.append((_min_ranks(lists, n), [r and n + 1 - r for r in from_bottom]))
+    (orank_m, maxrank_m), (orank_w, maxrank_w) = bounds
     spreads = [mx - mn for mn, mx in zip(orank_m + orank_w, maxrank_m + maxrank_w)]
     k = (max(spreads) if spreads else 0) + 1
     return RangeProfile(

@@ -157,23 +157,20 @@ def construct_path_decomposition(
 ) -> tuple[RotationDigraph, PathDecomposition]:
     """Rotation digraph of a complete instance plus a nice path decomposition
     of it built from rotation extents; width is at most 50 k^2 for k the range.
+    The instance ops run on the narrower cut of `fairness._prepare`; this is
+    the paper's decomposition, kept as an oracle for that cut.
 
     Bags contain rotation ids shifted by +1, matching RotationDigraph.dag().
     """
     dg = rotation_digraph(inst)
-    return dg, to_nice(dg.dag(), _extent_bags(inst, dg, compute_range(inst)))
-
-
-def _extent_bags(
-    inst: Instance, dg: RotationDigraph, profile: RangeProfile
-) -> PathDecomposition:
-    # bag i holds the rotations whose extent covers minrank i
-    n = max(inst.n_men, inst.n_women)
+    profile = compute_range(inst)
     exts = [extent_of(rho, profile) for rho in dg.rotations]
-    bags = []
-    for i in range(1, n + 1):
-        bags.append(frozenset(rho.id + 1 for rho, e in zip(dg.rotations, exts) if e.lo <= i <= e.hi))
-    return PathDecomposition(tuple(bags))
+    # bag i holds the rotations whose extent covers minrank i
+    bags = [
+        [rho.id + 1 for rho, e in zip(dg.rotations, exts) if e.lo <= i <= e.hi]
+        for i in range(1, max(inst.n_men, inst.n_women) + 1)
+    ]
+    return dg, to_nice(dg.dag(), PathDecomposition.of(bags))
 
 
 def _extent_order(

@@ -168,8 +168,6 @@ def rotation_digraph(inst: Instance) -> RotationDigraph:
     Edges are listed Rule 1 first, each rule in elimination order.
     """
     mu0 = gale_shapley(inst, MAN)
-    if blocking_pairs(inst, mu0):
-        raise ValidationError("instance has no stable matching structure")  # unreachable
     men_prefs, men_rank, women_rank = inst.men_prefs, inst.men_rank, inst.women_rank
     n_men = inst.n_men
     woman_of = [mu0.woman_of(m) for m in range(n_men)]

@@ -23,8 +23,9 @@ from smposet import (
 )
 from smposet import cli
 from smposet.cli import main
+from smposet.fairness import _prepare
 
-from conftest import DATA, stable_matchings_by_matching_scan
+from conftest import DATA, minrank_instances, stable_matchings_by_matching_scan
 
 
 @pytest.fixture()
@@ -226,7 +227,8 @@ def test_analyze_output(workdir, capsys):
     assert "rho2 -> rho3 rule=12" in out
     assert "range 4" in out
     assert "minrank w1: 1" in out
-    assert "decomposition width" in out
+    # the chain rho1 -> rho2 -> rho3 cut along its order
+    assert "decomposition width 1 bags 6" in out
     assert (workdir / "g.dot").read_text().startswith("digraph")
 
 
@@ -365,7 +367,19 @@ def test_analyze_incomplete_instance(workdir, capsys):
     path.write_text("SM 2 2\nm1: w1\nm2: w1 w2\nw1: m1 m2\nw2: m2\n")
     code, out, _ = run(capsys, "analyze", "--instance", path)
     assert code == 0
-    assert "range n/a" in out
+    assert out.endswith("range n/a (incomplete instance)\ndecomposition width -1 bags 0\n")
+
+
+def test_analyze_prints_the_cut_the_dp_runs_on(tmp_path, capsys):
+    # complete and incomplete instances alike: the width of `_prepare`'s
+    # cut, and 2r bags, the nice steps it expands into
+    for i, inst in enumerate(minrank_instances()):
+        path = tmp_path / f"{i}.sm"
+        path.write_text(format_instance(inst))
+        code, out, _ = run(capsys, "analyze", "--instance", path)
+        dg, _g, x = _prepare(inst)
+        assert code == 0
+        assert f"decomposition width {x.width} bags {2 * len(dg.rotations)}" in out.splitlines()
 
 
 def test_count_dag_accepts_non_nice_decomposition(workdir, capsys):

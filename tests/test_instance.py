@@ -9,6 +9,7 @@ from smposet import (
     Instance,
     Matching,
     ParseError,
+    RangeProfile,
     ValidationError,
     all_stable_matchings_bruteforce,
     blocking_pairs,
@@ -362,9 +363,14 @@ def test_blocking_pairs_rejects_unacceptable_pair():
 
 
 def test_gale_shapley_output_always_stable():
+    # the rotation digraph starts from this output without re-checking it
     rng = random.Random(9)
-    for _ in range(30):
-        inst = random_complete_instance(rng, rng.randint(1, 7))
+    insts = [random_complete_instance(rng, rng.randint(1, 7)) for _ in range(30)]
+    insts += [
+        random_incomplete_instance(rng, rng.randint(0, 7), rng.randint(0, 7), rng.choice([0.3, 0.6]))
+        for _ in range(30)
+    ]
+    for inst in insts:
         assert blocking_pairs(inst, gale_shapley(inst, MAN)) == []
         assert blocking_pairs(inst, gale_shapley(inst, WOMAN)) == []
 
@@ -393,6 +399,31 @@ def test_min_ranks_match_rank_dicts():
     for inst in minrank_instances():
         assert _min_ranks(inst.women_prefs, inst.n_men) == least(inst.women_rank, inst.n_men)
         assert _min_ranks(inst.men_prefs, inst.n_women) == least(inst.men_rank, inst.n_women)
+
+
+def test_compute_range_matches_rank_dicts():
+    # every field against the least and greatest rank read straight from the
+    # rank dicts: the complete minrank instances and seeded rectangular
+    # complete ones with 0..9 agents per side, SM 2 0 and SM 0 0 among them
+    def bounds(ranks, n):
+        seen = [[r[j] for r in ranks] for j in range(n)]
+        return tuple(min(rs, default=0) for rs in seen), tuple(max(rs, default=0) for rs in seen)
+
+    rng = random.Random(179)
+    insts = [inst for inst in minrank_instances() if inst.is_complete]
+    sizes = [(a, b) for a in range(10) for b in range(10) if a != b]
+    for n_men, n_women in sizes * 4:
+        men = [rng.sample(range(n_women), n_women) for _ in range(n_men)]
+        women = [rng.sample(range(n_men), n_men) for _ in range(n_women)]
+        insts.append(Instance(men, women))
+    assert len(insts) > 400
+    for inst in insts:
+        orank_men, maxrank_men = bounds(inst.women_rank, inst.n_men)
+        orank_women, maxrank_women = bounds(inst.men_rank, inst.n_women)
+        spreads = [hi - lo for lo, hi in zip(orank_men + orank_women, maxrank_men + maxrank_women)]
+        assert compute_range(inst) == RangeProfile(
+            max(spreads, default=0) + 1, orank_men, maxrank_men, orank_women, maxrank_women
+        )
 
 
 def test_compute_range_example(example_instance):

@@ -23,7 +23,7 @@ from smposet import (
 )
 from smposet.instance import Instance
 from smposet.fairness import _prepare
-from smposet.pathdecomp import _extent_bags, _extent_order, _layout_bags
+from smposet.pathdecomp import _extent_order, _layout_bags
 
 from conftest import (
     corrupt_bags,
@@ -321,9 +321,9 @@ def test_extent_order_cut_no_wider_than_extent_bags():
     widths = set()
     for _ in range(60):
         inst = random_complete_instance(rng, rng.randint(2, 40))
-        dg = rotation_digraph(inst)
+        dg, nice = construct_path_decomposition(inst)
         profile = compute_range(inst)
-        extent_width = _extent_bags(inst, dg, profile).width
+        extent_width = nice.width
         reduced = transitive_reduction(dg.dag())
         for g in (dg.dag(), reduced):
             x = _layout_bags(g, _extent_order(dg, profile.orank_men, profile.orank_women))
