@@ -23,6 +23,9 @@ class VertexIds(dict):
 
 
 def lines(text: str) -> list[str]:
+    if "#" not in text:
+        # the same list as the loop below gives: no line is cut or dropped
+        return list(map(str.strip, text.splitlines()))
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

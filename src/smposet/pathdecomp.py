@@ -277,7 +277,11 @@ def parse_decomposition(text: str) -> PathDecomposition:
         raise ParseError(f"expected {count} bag lines, found {len(body)}")
     bags = []
     ids = _text.VertexIds()
-    for line in body:
+    # each line is dropped once it is read, so that the reader does not hold
+    # all of the lines and all of the bags at once
+    body.reverse()
+    while body:
+        line = body.pop()
         try:
             bags.append(frozenset(map(ids.__getitem__, line.split())))
         except ValueError:

@@ -9,11 +9,17 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import itemgetter
+from itertools import islice, starmap
+from operator import eq, itemgetter, lt
 from typing import Iterable, Mapping, Optional
 
 from . import _text
 from .errors import CapExceededError, ParseError, ValidationError
+
+
+def _repeats(edges: list[tuple[int, int]]) -> bool:
+    """Whether the sorted edge list holds an edge twice."""
+    return any(map(eq, edges, islice(edges, 1, None)))
 
 
 def _adjacency(
@@ -47,7 +53,7 @@ class Dag:
         edges: Iterable[tuple[int, int]],
         colors: Optional[Mapping[tuple[int, int], int]] = None,
     ):
-        self.p = int(p)
+        p = int(p)
         edge_list = []
         for e in edges:
             u, v = e
@@ -55,29 +61,61 @@ class Dag:
             if type(e) is not tuple or type(u) is not int or type(v) is not int:
                 e = (int(u), int(v))
             edge_list.append(e)
-        edge_set = frozenset(edge_list)
-        if len(edge_list) != len(edge_set):
-            edge_list = list(edge_set)
         # linear on the sorted edge lists the file format usually holds
         edge_list.sort()
-        self.colors = dict(colors) if colors else {}
-        if self.p < 0:
+        if _repeats(edge_list):
+            edge_list = sorted(set(edge_list))
+        self._build(p, edge_list, dict(colors) if colors else {})
+
+    @classmethod
+    def _parsed(
+        cls, p: int, edges: list[tuple[int, int]], colors: dict[tuple[int, int], int]
+    ) -> "Dag":
+        """The Dag of a DAG file, which `parse_dag` has read into a sorted
+        list of distinct (int, int) edges. The list and the colors are kept
+        as they are, with no conversion or de-duplication.
+        """
+        g = cls.__new__(cls)
+        g._build(p, edges, colors)
+        return g
+
+    def _build(
+        self,
+        p: int,
+        edges: list[tuple[int, int]],
+        colors: dict[tuple[int, int], int],
+    ) -> None:
+        """Check and link sorted, distinct (int, int) edges. The range,
+        self-loop and cycle checks each accept in one C-speed pass, and the
+        per-edge loop runs only to name the first fault.
+        """
+        self.p = p
+        self.colors = colors
+        if p < 0:
             raise ValidationError("negative vertex count")
-        for u, v in edge_list:
-            if not (1 <= u <= self.p and 1 <= v <= self.p):
-                raise ValidationError(f"edge ({u},{v}) out of range 1..{self.p}")
-            if u == v:
-                raise ValidationError(f"self-loop at {u}")
-        for e in self.colors:
-            if e not in edge_set:
-                raise ValidationError(f"color assigned to missing edge {e}")
-        del edge_set  # not held while the adjacency is built
-        self.out_adj = _adjacency(range(1, self.p + 1), edge_list)
-        # the sort is stable, so tails stay ascending within each head; the
-        # keys of out_adj serve again, so each vertex id is one key int
-        by_head = sorted(edge_list, key=itemgetter(1))
+        # the sort is stable, so tails stay ascending within each head
+        by_head = sorted(edges, key=itemgetter(1))
+        in_range = not edges or (
+            1 <= edges[0][0] and edges[-1][0] <= p and 1 <= by_head[0][1] and by_head[-1][1] <= p
+        )
+        if not in_range or any(starmap(eq, edges)):
+            for u, v in edges:
+                if not (1 <= u <= p and 1 <= v <= p):
+                    raise ValidationError(f"edge ({u},{v}) out of range 1..{p}")
+                if u == v:
+                    raise ValidationError(f"self-loop at {u}")
+        if colors:
+            edge_set = frozenset(edges)
+            for e in colors:
+                if e not in edge_set:
+                    raise ValidationError(f"color assigned to missing edge {e}")
+            del edge_set  # not held while the adjacency is built
+        self.out_adj = _adjacency(range(1, p + 1), edges)
+        # the keys of out_adj serve again, so each vertex id is one key int
         self.in_adj = _adjacency(self.out_adj, ((v, u) for u, v in by_head))
-        _topological_order(self)  # raises on a cycle
+        # edges that all ascend make no cycle; otherwise Kahn decides
+        if not all(starmap(lt, edges)):
+            _topological_order(self)  # raises on a cycle
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -285,34 +323,38 @@ def parse_dag(text: str) -> Dag:
     found = len(body) - body.count("")
     if found != q:
         raise ParseError(f"expected {q} edge lines, found {found}")
-    edges = []
     colors = {}
     ids = _text.VertexIds()
-    for line in body:
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"bad edge line: {line!r}")
-        try:
-            u = ids[parts[0]]
-            v = ids[parts[1]]
-        except ValueError:
-            raise ParseError(f"bad edge line: {line!r}") from None
-        edges.append((u, v))
-        if len(parts) == 3:
+    try:
+        # plain ``u v`` lines in one pass; a color or a fault, which makes
+        # this raise, sends the read to the loop below
+        edges = [(ids[u], ids[v]) for u, v in map(str.split, filter(None, body))]
+    except ValueError:
+        edges = []
+        for line in filter(None, body):
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ParseError(f"bad edge line: {line!r}")
             try:
-                c = int(parts[2])
+                u = ids[parts[0]]
+                v = ids[parts[1]]
             except ValueError:
-                raise ParseError(f"bad color in line: {line!r}") from None
-            if c <= 0:
-                raise ParseError(f"colors must be positive: {line!r}")
-            colors[(u, v)] = c
+                raise ParseError(f"bad edge line: {line!r}") from None
+            edges.append((u, v))
+            if len(parts) == 3:
+                try:
+                    c = int(parts[2])
+                except ValueError:
+                    raise ParseError(f"bad color in line: {line!r}") from None
+                if c <= 0:
+                    raise ParseError(f"colors must be positive: {line!r}")
+                colors[(u, v)] = c
     del body, ids  # not held while the Dag is built
-    if len(set(edges)) != len(edges):
+    edges.sort()
+    if _repeats(edges):
         raise ParseError("duplicate edge")
     try:
-        return Dag(p, edges, colors)
+        return Dag._parsed(p, edges, colors)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
 

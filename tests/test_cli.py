@@ -1,4 +1,5 @@
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -630,3 +631,32 @@ def test_python_m_smposet_runs_the_cli(capsys):
     )
     assert want[0] == 0 and want[1].count("\n") == len(paths) > 1
     assert (done.returncode, done.stdout, done.stderr) == want
+
+
+def test_count_dag_relabelled_and_cyclic(workdir, capsys):
+    # a band DAG and its window decomposition, then both renamed by one
+    # permutation, so the edges no longer ascend and the cycle check runs
+    # Kahn's sweep; then a file whose reversed edge closes a cycle
+    rng = random.Random(251)
+    n, window = 300, 4
+    edges = [(i, j) for i in range(1, n) for j in range(i + 1, min(i + window, n) + 1)]
+    edges = [e for e in edges if rng.random() < 0.5]
+    bags = [range(i, min(i + window, n) + 1) for i in range(1, n - window + 1)]
+    name = rng.sample(range(1, n + 1), n)
+    moved = [(name[u - 1], name[v - 1]) for u, v in edges]
+    rng.shuffle(moved)
+    moved_bags = [[name[v - 1] for v in b] for b in bags]
+    counts = []
+    for stem, es, bs in (("band", edges, bags), ("moved", moved, moved_bags)):
+        dag, pd = workdir / f"{stem}.dag", workdir / f"{stem}.pd"
+        _write_dag(dag, n, es)
+        pd.write_text(f"PD {len(bs)}\n" + "".join(" ".join(map(str, b)) + "\n" for b in bs))
+        code, out, err = run(capsys, "count", "--dag", dag, "--decomp", pd)
+        assert (code, err) == (0, "")
+        counts.append(out)
+    assert counts[0] == counts[1] and int(counts[0]) > n
+    cyclic = workdir / "cyclic.dag"
+    _write_dag(cyclic, 3, [(1, 2), (2, 3), (3, 1)])
+    assert run(capsys, "count", "--dag", cyclic, "--decomp", workdir / "band.pd") == (
+        2, "", "error: graph contains a cycle\n"
+    )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_bad_edge_named_is_the_smallest():
         Dag(3, [(4, 1), (2, 2), (0, 2), (1, 5)])
     with pytest.raises(ValidationError, match="self-loop at 2"):
         Dag(3, [(3, 3), (2, 2), (3, 1)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(1, 2), (0, 3)], "edge (0,3) out of range 1..4"),
+        ([(1, 2), (5, 3)], "edge (5,3) out of range 1..4"),
+        ([(2, 0), (1, 2)], "edge (2,0) out of range 1..4"),
+        ([(1, 2), (2, 5), (3, 4)], "edge (2,5) out of range 1..4"),
+        ([(1, 2), (3, 3), (3, 4)], "self-loop at 3"),
+        ([(3, 3), (1, 5)], "edge (1,5) out of range 1..4"),
+    ],
+)
+def test_each_end_of_the_range_is_checked(edges, message):
+    # one fault at each end of the tail and head ranges, so that none of the
+    # four bounds of the one-pass range test can be dropped
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Dag(4, edges)
+    text = f"DAG 4 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_dag(text)
 
 
 def _adjacency_reference(p, edges):
@@ -132,6 +154,31 @@ def test_parse_dag_shares_one_int_per_vertex():
     assert len(objects) > 500
     assert all(len(ids) == 1 for ids in objects.values())
     assert g.edges == frozenset(edges)
+    # relabelled and shuffled, so the edges do not all ascend and the
+    # cycle check runs Kahn's sweep; some edges carry colors
+    perm = rng.sample(range(1, p + 1), p)
+    moved = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+    rng.shuffle(moved)
+    colors = {e: rng.randint(1, 3) for e in moved if rng.random() < 0.2}
+    lines = [f"{u} {v} {colors[(u, v)]}" if (u, v) in colors else f"{u} {v}" for u, v in moved]
+    g = parse_dag(f"DAG {p} {len(moved)}\n" + "\n".join(lines) + "\n")
+    direct = Dag(p, moved, colors)
+    assert list(g.out_adj.items()) == list(direct.out_adj.items())
+    assert list(g.in_adj.items()) == list(direct.in_adj.items())
+    assert g.colors == direct.colors == colors
+    objects = {}
+    for adj in (g.in_adj, g.out_adj):
+        for ws in adj.values():
+            for w in ws:
+                objects.setdefault(w, set()).add(id(w))
+    assert len(objects) > 500
+    assert all(len(ids) == 1 for ids in objects.values())
+    # an ascending file with one edge reversed: (u + 2, u) closes a cycle
+    # with the path u -> u + 1 -> u + 2
+    u = next(u for u, v in edges if v == u + 2 and {(u, u + 1), (u + 1, v)} <= set(edges))
+    cyclic = [(w, v) if (v, w) == (u, u + 2) else (v, w) for v, w in edges]
+    with pytest.raises(ParseError, match="^graph contains a cycle$"):
+        parse_dag(f"DAG {p} {len(cyclic)}\n" + "".join(f"{v} {w}\n" for v, w in cyclic))
 
 
 def test_dag_adjacency_dicts_share_their_key_ints():

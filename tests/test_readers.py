@@ -9,7 +9,7 @@ reference crashed with IndexError or asked for a negative number of bag
 lines. In the coloring format, a line for a pair that is not an edge, or a
 second line for an edge, is now refused where the reference read on.
 
-The last two tests check what the readers hold, not what they return.
+The last three tests check what the readers hold, not what they return.
 """
 from __future__ import annotations
 
@@ -325,6 +325,35 @@ def _random_dag(rng):
     return p, edges
 
 
+def _random_descending_dag(rng):
+    """A random DAG of two to six vertices and at least one edge, with its
+    vertices renamed so that some edge descends.
+    """
+    p = rng.randint(2, 6)
+    edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1) if rng.random() < 0.5]
+    edges = edges or [(1, p)]
+    name = rng.sample(range(1, p + 1), p)
+    if all(name[u - 1] < name[v - 1] for u, v in edges):
+        name = [p + 1 - x for x in name]  # now every edge descends
+    edges = [(name[u - 1], name[v - 1]) for u, v in edges]
+    rng.shuffle(edges)
+    return p, edges
+
+
+def _has_cycle(p, edges):
+    """Whether the edges on vertices 1..p close a cycle: one remains after
+    removing vertices with no in-edge for as long as there are any.
+    """
+    left = set(edges)
+    alive = set(range(1, p + 1))
+    while True:
+        sources = alive - {v for _u, v in left}
+        if not sources:
+            return bool(alive)
+        alive -= sources
+        left = {(u, v) for u, v in left if u in alive}
+
+
 def _random_dag_lines(rng):
     p, edges = _random_dag(rng)
     lines = [f"DAG {p} {len(edges)}"]
@@ -391,6 +420,34 @@ def test_dag_reader_matches_reference():
         "edge Q out of range #..#",
         "self-loop at #",
     }
+    # relabelled DAGs, whose edges do not all ascend, so that the cycle
+    # check cannot accept them by their order; now and then one edge is
+    # reversed, which may close a cycle
+    rng = random.Random(706)
+    seen = set()
+    for _ in range(CASES // 3):
+        p, edges = _random_descending_dag(rng)
+        if rng.random() < 0.4:
+            j = rng.randrange(len(edges))
+            edges[j] = edges[j][::-1]
+        lines = [f"DAG {p} {len(edges)}"]
+        for u, v in edges:
+            lines.append(f"{u} {v} {rng.randint(1, 3)}" if rng.random() < 0.3 else f"{u} {v}")
+        text = _text(rng, lines, INTS)
+        expected = _outcome(parent_parse_dag, text)
+        got = _outcome(parse_dag, text)
+        if isinstance(expected, Dag):
+            assert isinstance(got, Dag) and (got, got.colors) == (expected, expected.colors), text
+            assert not _has_cycle(got.p, got.edges), text
+        else:
+            assert got == expected, text
+            if expected == (ParseError, "graph contains a cycle"):
+                rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+                rows = [r for r in rows if r]
+                edges = [(int(r[0]), int(r[1])) for r in rows[1:]]
+                assert _has_cycle(int(rows[0][1]), edges), text
+        seen.add(_kind(expected))
+    assert seen >= {None, "graph contains a cycle", "duplicate edge", "bad edge line: Q"}
 
 
 def test_decomposition_reader_matches_reference():
@@ -483,6 +540,23 @@ def test_instance_reader_peak_memory_is_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert inst.n_men == 200
+    assert peak - base <= 1.5 * (kept - base)
+
+
+def test_decomposition_reader_peak_memory_is_near_what_it_keeps():
+    # holding every bag line until the last bag was built peaked at 1.64
+    # times what the decomposition keeps, on 2000 bags of four ids
+    bags = [range(i, i + 4) for i in range(1, 2001)]
+    text = f"PD {len(bags)}\n" + "".join(" ".join(map(str, bag)) + "\n" for bag in bags)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = parse_decomposition(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(x.bags) == 2000
     assert peak - base <= 1.5 * (kept - base)
 
 
