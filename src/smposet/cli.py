@@ -27,6 +27,7 @@ from .posets import (
     parse_dag,
 )
 from .pathdecomp import (
+    _layout_bags,
     format_decomposition,
     parse_decomposition,
     pathwidth_exact_tiny,
@@ -153,7 +154,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_analyze(args) -> int:
     inst = parse_instance(_read(args.instance))
-    dg, _g, x = _prepare(inst)
+    dg, g, order = _prepare(inst)
     print(f"men {inst.n_men} women {inst.n_women} complete {'yes' if inst.is_complete else 'no'}")
     print(f"rotations {len(dg.rotations)}")
     for rho in dg.rotations:
@@ -173,8 +174,8 @@ def _cmd_analyze(args) -> int:
             print(f"minrank {label}: {r}")
     else:
         print("range n/a (incomplete instance)")
-    # the cut the DP runs on, counted in the nice steps it expands into
-    print(f"decomposition width {x.width} bags {2 * len(x.bags)}")
+    # the order's vertex separation is its cut's width; 2r counts inserts and forgets
+    print(f"decomposition width {_layout_bags(g, order).width} bags {2 * len(order)}")
     if args.dot:
         _write(args.dot, dg.to_dot(inst))
     return 0
@@ -196,11 +197,9 @@ def _cmd_count(args) -> int:
         raise ValidationError("count needs --instance or --dag")
     paths = args.instance
     texts = [_read(p) for p in paths]  # every path readable before any output
-    if len(paths) == 1:
-        print(count_stable_matchings(parse_instance(texts[0])))
-        return 0
     for path, text in zip(paths, texts):
-        print(f"{path}: {count_stable_matchings(parse_instance(text))}")
+        total = count_stable_matchings(parse_instance(text))
+        print(total if len(paths) == 1 else f"{path}: {total}")
     return 0
 
 

@@ -14,12 +14,12 @@ soon as its last neighbour is inserted, so its tables span only the live
 vertices: it runs in O(2^s s n) for s the vertex separation of the order
 (Kinnersley 1992). Its width cap reads the live vertices.
 
-The public calls take any bag sequence and validate it first: they walk
-all of `pathdecomp._nice_steps`, which raises ValidationError unless the
-sequence is a valid path decomposition of g, and run the DP over the order
-in which it inserts the vertices. A valid decomposition of width w gives an
-order of vertex separation at most w, and an invalid one is refused before
-any DP step, whatever the caps.
+The instance ops in `fairness` hand `_count`, `_sample` and `_marginals`
+the order they chose. The public calls take any bag sequence: they walk
+all of `pathdecomp._nice_steps`, which refuses an invalid decomposition of
+g with ValidationError before any DP step, whatever the caps, and run the
+private entry over its insert order, whose vertex separation is at most
+the decomposition's width.
 
 Counts are plain Python ints, so they are exact at any size.
 """
@@ -179,10 +179,13 @@ def count_downsets(g: Dag, x: PathDecomposition) -> int:
     DP step; then CapExceededError at an insert that would make more than
     HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
     """
+    return _count(g, _insert_order(g, x))
+
+
+def _count(g: Dag, order: list[int]) -> int:
+    """`count_downsets` over order."""
     table = {0: 1}
-    for live, _v, vbit, umask, wmask, forgets in _plan(
-        _insert_order(g, x), g.in_adj, g.out_adj
-    ):
+    for live, _v, vbit, umask, wmask, forgets in _plan(order, g.in_adj, g.out_adj):
         _caps(live, len(table))
         table = _insert(table, vbit, umask, wmask)
         if forgets:
@@ -190,13 +193,13 @@ def count_downsets(g: Dag, x: PathDecomposition) -> int:
     return sum(table.values())
 
 
-def _forward(g: Dag, x: PathDecomposition):
-    """The steps of the forward pass, each with the table before it if it is
-    a forget step, and the downset count.
+def _forward(g: Dag, order: list[int]):
+    """The steps of the forward pass over order, each with the table before
+    it if it is a forget step, and the downset count.
     """
     steps = []
     before = {0: 1}
-    for v, vbit, inserted, table in _dp(_insert_order(g, x), g.in_adj, g.out_adj):
+    for v, vbit, inserted, table in _dp(order, g.in_adj, g.out_adj):
         steps.append((v, vbit, inserted, None if inserted else before))
         before = table
     return steps, sum(before.values())
@@ -226,7 +229,12 @@ def sample_downsets(
     """
     if draws < 1:
         raise ValidationError(f"draws must be positive, got {draws}")
-    steps, _total = _forward(g, x)
+    return _sample(g, _insert_order(g, x), rng, draws)
+
+
+def _sample(g: Dag, order: list[int], rng: random.Random, draws: int) -> list[frozenset[int]]:
+    """`sample_downsets` over order, for a positive number of draws."""
+    steps, _total = _forward(g, order)
     out = []
     for _ in range(draws):
         a = 0
@@ -249,7 +257,12 @@ def downset_marginals(g: Dag, x: PathDecomposition) -> tuple[int, dict[int, int]
     the forward pass reached; such a state has one predecessor at an insert
     step, so no edge checks are needed.
     """
-    steps, total = _forward(g, x)
+    return _marginals(g, _insert_order(g, x))
+
+
+def _marginals(g: Dag, order: list[int]) -> tuple[int, dict[int, int]]:
+    """`downset_marginals` over order."""
+    steps, total = _forward(g, order)
     after = {0: 1}
     marginals = {}
     for v, vbit, inserted, before in reversed(steps):

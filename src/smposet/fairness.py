@@ -1,7 +1,7 @@
 """Instance-level counting, exact uniform sampling, median stable matchings,
 and exact sex-equal / balanced stable matchings (`_optimize`), all by the
-downset DP over the cut of `_prepare`. The brute-force optimizers, which
-list every stable matching, are kept as oracles.
+downset DP over the order of `_prepare`, with no bags. The brute-force
+optimizers, which list every stable matching, are kept as oracles.
 """
 from __future__ import annotations
 
@@ -11,16 +11,9 @@ from typing import Optional
 
 from .errors import CapExceededError, ValidationError
 from . import downsets
-from .downsets import (
-    _caps,
-    _insert_order,
-    _plan,
-    count_downsets,
-    downset_marginals,
-    sample_downsets,
-)
+from .downsets import _caps, _count, _marginals, _plan, _sample
 from .instance import Instance, Matching, _min_ranks
-from .pathdecomp import PathDecomposition, _extent_order, _layout_bags
+from .pathdecomp import _extent_order, _layout_bags
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
@@ -56,58 +49,59 @@ class FairnessScores:
         )
 
 
-def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, PathDecomposition]:
+def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, list[int]]:
     """The rotation digraph of inst, the transitive reduction of its DAG,
-    which has the same downsets, and a vertex-separation decomposition of
-    the reduction, which the DP expands and checks itself.
+    which has the same downsets, and the order the DP inserts the
+    reduction's vertices in; the DP's width is that of its `_layout_bags` cut.
 
-    The decomposition is cut along rotation-id order, a linear extension.
-    On a complete instance it is also cut along the order of the rotations'
-    extent lower ends, then ids, and the narrower cut is kept (id order on a
-    tie). A vertex in that cut's bag i has an extent covering the lower end
-    of the i-th rotation, since every edge joins overlapping extents, so its
-    width is at most that of the extent decomposition, 50 k^2 for range k.
-    That order follows each rotation's least agent minrank, read by
-    `_min_ranks`' early-stopping column sweep; it needs no k or maxranks.
+    The order is rotation-id order, a linear extension. On a complete
+    instance the order of the rotations' extent lower ends, then ids, is
+    kept instead when its cut is strictly narrower. A vertex in that cut's
+    bag i has an extent covering the lower end of the i-th rotation, since
+    every edge joins overlapping extents, so its width is at most that of
+    the extent decomposition, 50 k^2 for range k. That order follows each
+    rotation's least agent minrank, read by `_min_ranks`' early-stopping
+    column sweep; it needs no k or maxranks.
     """
     dg = rotation_digraph(inst)
     g = transitive_reduction(dg.dag())
-    x = _layout_bags(g, g.vertices())
+    order = list(g.vertices())
     if inst.is_complete:
-        order = _extent_order(
+        extent = _extent_order(
             dg, _min_ranks(inst.women_prefs, inst.n_men), _min_ranks(inst.men_prefs, inst.n_women)
         )
-        y = _layout_bags(g, order)
-        if y.width < x.width:
-            x = y
-    return dg, g, x
+        if _layout_bags(g, extent).width < _layout_bags(g, order).width:
+            order = extent
+    return dg, g, order
 
 
 def count_stable_matchings(inst: Instance) -> int:
-    """Exact count by the downset DP over the decomposition of `_prepare`,
-    in time exponential only in its width.
+    """Exact count by the downset DP over the order of `_prepare`, in time
+    exponential only in its vertex separation.
     """
-    _dg, g, x = _prepare(inst)
-    return count_downsets(g, x)
+    _dg, g, order = _prepare(inst)
+    return _count(g, order)
 
 
 def sample_stable_matchings(
     inst: Instance, rng: random.Random, draws: int
 ) -> list[Matching]:
     """Exactly uniform draws from the stable matchings of inst. The digraph,
-    decomposition and DP tables are computed once and reused across draws.
+    order and DP tables are computed once and reused across draws.
     """
-    dg, g, x = _prepare(inst)
+    if draws < 1:
+        raise ValidationError(f"draws must be positive, got {draws}")
+    dg, g, order = _prepare(inst)
     return [
         matching_from_downset(inst, dg, {v - 1 for v in zs})
-        for zs in sample_downsets(g, x, rng, draws)
+        for zs in _sample(g, order, rng, draws)
     ]
 
 
 def median_and_count(inst: Instance, upper: bool = False) -> tuple[Matching, int]:
     """median_stable_matching and the number of stable matchings."""
-    dg, g, x = _prepare(inst)
-    total, marginals = downset_marginals(g, x)
+    dg, g, order = _prepare(inst)
+    total, marginals = _marginals(g, order)
     if total % 2 == 1:
         threshold = (total + 1) // 2
     else:
@@ -143,7 +137,7 @@ def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
     agent unmatched is refused by `FairnessScores.of`: by the rural
     hospitals theorem, every stable matching leaves the same agents single.
     """
-    dg, g, x = _prepare(inst)
+    dg, g, order = _prepare(inst)
     base = FairnessScores.of(inst, dg.man_optimal)
     moves = []
     for rho in dg.rotations:
@@ -168,9 +162,7 @@ def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
     # the live slots' bits sit below this, since an insert past the cap is refused
     shift = downsets.HARD_WIDTH_CAP + 1
     table = {0: 0}
-    for live, v, vbit, umask, wmask, forgets in _plan(
-        _insert_order(g, x), g.in_adj, g.out_adj
-    ):
+    for live, v, vbit, umask, wmask, forgets in _plan(order, g.in_adj, g.out_adj):
         _caps(live, len(table))
         step = (weights[v - 1] << shift) + vbit
         idbit = 1 << (v - 1)
@@ -196,8 +188,8 @@ def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
 
 def _bruteforce(inst: Instance, key_name: str):
     # count first: listing 2^p downsets would never return
-    dg, g, x = _prepare(inst)
-    total = count_downsets(g, x)
+    dg, g, order = _prepare(inst)
+    total = _count(g, order)
     if total > MAX_MATCHINGS:
         raise CapExceededError(f"{total} stable matchings exceed cap {MAX_MATCHINGS}")
     best: Optional[tuple] = None

@@ -5,8 +5,8 @@ graphs, and the file format, whose comments and header follow `_text`.
 `_nice_steps` is the one place that expands a bag sequence into nice steps
 and decides whether it is valid for a graph. It only checks: it yields each
 step's vertex and whether it is inserted, and keeps no DP bookkeeping.
-Validation, nice form and `realize_range` walk its steps, and the downset
-DP walks them to the end first and then runs over the insert order.
+Validation, nice form, `realize_range` and the public downset calls walk
+its steps. The instance ops walk no bags: they hand the DP an order.
 """
 from __future__ import annotations
 

@@ -57,6 +57,16 @@ def band_poset(rng, p: int) -> Dag:
     ])
 
 
+def grid_poset(k: int) -> Dag:
+    """The k x k grid, (i, j) -> (i + 1, j) and (i, j) -> (i, j + 1), with
+    (i, j) numbered i k + j + 1. Its C(2k, k) downsets are the monotone
+    staircases, and its pathwidth is k.
+    """
+    edges = [(i * k + j + 1, (i + 1) * k + j + 1) for i in range(k - 1) for j in range(k)]
+    edges += [(i * k + j + 1, i * k + j + 2) for i in range(k) for j in range(k - 1)]
+    return Dag(k * k, edges)
+
+
 def minrank_instances() -> list[Instance]:
     """Instances on which minranks are checked: seeded random complete ones
     with n = 1..40 and n = 300; a master-list one, in which each rank column

@@ -25,8 +25,9 @@ from smposet import (
 from smposet import cli
 from smposet.cli import main
 from smposet.fairness import _prepare
+from smposet.pathdecomp import _layout_bags
 
-from conftest import DATA, minrank_instances, stable_matchings_by_matching_scan
+from conftest import DATA, grid_poset, minrank_instances, stable_matchings_by_matching_scan
 
 
 @pytest.fixture()
@@ -372,15 +373,52 @@ def test_analyze_incomplete_instance(workdir, capsys):
 
 
 def test_analyze_prints_the_cut_the_dp_runs_on(tmp_path, capsys):
-    # complete and incomplete instances alike: the width of `_prepare`'s
-    # cut, and 2r bags, the nice steps it expands into
+    # complete and incomplete instances alike: the width of the cut along
+    # `_prepare`'s order, and 2r bags, the order's inserts and forgets
     for i, inst in enumerate(minrank_instances()):
         path = tmp_path / f"{i}.sm"
         path.write_text(format_instance(inst))
         code, out, _ = run(capsys, "analyze", "--instance", path)
-        dg, _g, x = _prepare(inst)
+        dg, g, order = _prepare(inst)
+        width = _layout_bags(g, order).width
         assert code == 0
-        assert f"decomposition width {x.width} bags {2 * len(dg.rotations)}" in out.splitlines()
+        assert f"decomposition width {width} bags {2 * len(dg.rotations)}" in out.splitlines()
+
+
+def test_instance_ops_walk_no_bags(workdir, capsys, monkeypatch):
+    # the instance ops hand the DP the order they chose, so none of them
+    # walks a decomposition, and each answers as it does unpatched
+    from smposet import downsets
+
+    path = workdir / "example_rotation_poset.sm"
+    ops = [
+        ("count", "--instance", path),
+        ("sample", "--instance", path, "--seed", "3", "--draws", "4"),
+        ("median", "--instance", path),
+        ("fair", "--instance", path, "--objective", "sexequal"),
+        ("fair", "--instance", path, "--objective", "balanced"),
+        ("analyze", "--instance", path),
+    ]
+    usual = [run(capsys, *argv) for argv in ops]
+    assert all(code == 0 and out for code, out, _err in usual)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an instance op walked a decomposition")
+
+    monkeypatch.setattr(downsets, "_insert_order", refuse)
+    assert [run(capsys, *argv) for argv in ops] == usual
+
+
+def test_count_instance_width_refusal_exits_3(tmp_path, capsys, monkeypatch):
+    from smposet import downsets
+
+    path = tmp_path / "grid.sm"
+    path.write_text(format_instance(realize_complete(grid_poset(6))))
+    assert run(capsys, "count", "--instance", path) == (0, "924\n", "")
+    monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", 4)
+    assert run(capsys, "count", "--instance", path) == (
+        3, "", "cap exceeded: 6 live vertices exceed width cap 4\n"
+    )
 
 
 def test_count_dag_accepts_non_nice_decomposition(workdir, capsys):

@@ -381,8 +381,12 @@ def _by_vertex_sets(steps):
 def test_dp_matches_reference_on_tight_cuts():
     # a vertex-separation cut drops each vertex right after its last
     # neighbour's insert already, so early forgets change no step, slot or
-    # table: random DAGs cut along shuffled orders, and the cuts of
-    # `_prepare` on random instances, complete and incomplete
+    # table: random DAGs cut along shuffled orders, and the cuts along the
+    # orders of `_prepare` on random instances, complete and incomplete.
+    # Each cut adds one vertex per bag, so walking it gives its order back,
+    # and the DP run on the order itself, as the instance ops run it, gives
+    # the public calls' counts, marginals and seeded draws over the cut
+    from smposet.downsets import _count, _insert_order, _marginals, _sample
     from smposet.fairness import _prepare
     from smposet.pathdecomp import _layout_bags
 
@@ -392,14 +396,19 @@ def test_dp_matches_reference_on_tight_cuts():
     cases = []
     for _ in range(400):
         g = random_dag(rng, rng.randint(0, 12), rng.choice([0.15, 0.3, 0.5]))
-        cases.append((g, _layout_bags(g, rng.sample(list(g.vertices()), g.p))))
+        cases.append((g, rng.sample(list(g.vertices()), g.p)))
     for _ in range(100):
         inst = random_complete_instance(rng, rng.randint(2, 9))
         cases.append(_prepare(inst)[1:])
         inst = random_incomplete_instance(rng, rng.randint(1, 7), rng.randint(1, 7))
         cases.append(_prepare(inst)[1:])
     walked = 0
-    for g, x in cases:
+    for s, (g, order) in enumerate(cases):
+        x = _layout_bags(g, order)
+        assert _insert_order(g, x) == list(order)
+        assert _count(g, order) == count_downsets(g, x)
+        assert _marginals(g, order) == downset_marginals(g, x)
+        assert _sample(g, order, random.Random(s), 3) == sample_downsets(g, x, random.Random(s), 3)
         want, refusal = _steps(parent_dp, g, x.bags)
         assert refusal is None
         assert _steps(order_dp, g, x.bags) == (want, None)
@@ -457,6 +466,15 @@ def test_invalid_decomposition_is_refused_before_any_cap(monkeypatch):
     assert _steps(parent_dp, g, x.bags)[1] == (
         CapExceededError, "2 DP states exceed cap 1", 0
     )
+
+
+def test_sample_checks_draws_before_the_decomposition():
+    # a bad draw count is named first, even with an invalid decomposition
+    g = Dag(3, [(1, 2)])
+    x = PathDecomposition.of([{1}, {3}, {2, 3}])
+    for draws in (0, -3):
+        with pytest.raises(ValidationError, match=f"^draws must be positive, got {draws}$"):
+            sample_downsets(g, x, random.Random(1), draws)
 
 
 def test_dp_refuses_what_the_reference_refuses(monkeypatch):

@@ -12,6 +12,7 @@ from smposet import (
     Instance,
     Matching,
     PathDecomposition,
+    ValidationError,
     all_stable_matchings_bruteforce,
     balanced_bruteforce,
     blocking_pairs,
@@ -45,6 +46,7 @@ from smposet.pathdecomp import _extent_order, _layout_bags
 from conftest import (
     band_poset,
     data_text,
+    grid_poset,
     minrank_instances,
     posets_upto_isomorphism,
     random_complete_instance,
@@ -211,7 +213,8 @@ def test_prepare_cut_follows_extent_lower_ends():
     # the order of least minranks is the order of extent lower ends, which
     # fixes every seeded draw
     for inst in minrank_instances():
-        dg, g, x = _prepare(inst)
+        dg, g, got = _prepare(inst)
+        x = _layout_bags(g, got)
         by_id = _layout_bags(g, g.vertices())
         if inst.is_complete:
             profile = compute_range(inst)
@@ -221,8 +224,9 @@ def test_prepare_cut_follows_extent_lower_ends():
             assert _extent_order(dg, *orank) == order
             y = _layout_bags(g, order)
             assert x == (y if y.width < by_id.width else by_id)
+            assert got == (order if y.width < by_id.width else list(g.vertices()))
         else:
-            assert x == by_id
+            assert x == by_id and got == list(g.vertices())
 
 
 def test_fair_matches_exhaustive_scan():
@@ -300,6 +304,39 @@ def test_fair_cap_fires_before_listing(monkeypatch):
             optimize(inst)
 
 
+def test_width_refusal_surfaces_through_every_instance_op(monkeypatch):
+    # a wide rotation poset is refused by the DP's width cap, with the same
+    # message, whichever instance op runs it
+    from smposet import downsets
+
+    inst = realize_complete(grid_poset(6))
+    assert inst.n_men == inst.n_women == 72
+    assert count_stable_matchings(inst) == 924
+    monkeypatch.setattr(downsets, "HARD_WIDTH_CAP", 4)
+    for call in (
+        lambda: count_stable_matchings(inst),
+        lambda: sample_stable_matchings(inst, random.Random(1), 2),
+        lambda: median_and_count(inst),
+        lambda: _optimize(inst, "delta"),
+        lambda: _optimize(inst, "beta"),
+    ):
+        with pytest.raises(CapExceededError, match="^6 live vertices exceed width cap 4$"):
+            call()
+
+
+def test_sample_checks_draws_before_any_analysis(monkeypatch):
+    from smposet import fairness
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rotations found before the draws check")
+
+    monkeypatch.setattr(fairness, "_prepare", refuse)
+    inst = parse_instance(data_text("example_rotation_poset.sm"))
+    for draws in (0, -3):
+        with pytest.raises(ValidationError, match=f"^draws must be positive, got {draws}$"):
+            sample_stable_matchings(inst, random.Random(1), draws)
+
+
 def _median_by_scan(inst, matchings, upper=False):
     """The median from the stable matchings alone (Teo & Sethuraman 1998):
     each matched man gets his k-th best partner over all N matchings, where
@@ -321,8 +358,9 @@ def _median_by_scan(inst, matchings, upper=False):
 
 def _check_against_scan(inst):
     matchings = stable_matchings_by_matching_scan(inst)
-    dg, g, x = _prepare(inst)
-    assert validate_decomposition(g, x)
+    _dg, g, order = _prepare(inst)
+    assert sorted(order) == list(g.vertices())
+    assert validate_decomposition(g, _layout_bags(g, order))
     assert count_stable_matchings(inst) == len(matchings)
     for upper in (False, True):
         mu, total = median_and_count(inst, upper)

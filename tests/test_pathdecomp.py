@@ -329,7 +329,8 @@ def test_extent_order_cut_no_wider_than_extent_bags():
             x = _layout_bags(g, _extent_order(dg, profile.orank_men, profile.orank_women))
             assert validate_by_rescan(g, x)
             assert x.width <= extent_width
-        _dg, g, y = _prepare(inst)
+        _dg, g, order = _prepare(inst)
+        y = _layout_bags(g, order)
         assert g == reduced and validate_by_rescan(g, y) and y.width <= x.width
         widths.add(extent_width)
     assert max(widths) > 10
