@@ -1,25 +1,22 @@
-"""Counting, exactly uniform sampling and per-vertex marginals of the
-downsets of a DAG, all over one step plan (`_plan`) of an insert order.
-The plan holds the DP's bookkeeping, computed once and lazily: each
-insert's slot, the slot masks of its live neighbours and the vertices
-forgotten after it. Each use runs only its table update over the plan.
-Counting keeps no tables and does all of an insert's forgets in one pass;
-`_dp` yields every insert and forget as a step, and sampling and marginals
-keep the table before each forget step and walk the steps backward over
-them. `fairness._optimize` runs the same plan with tables of least
-rotation-id bitmasks to find sex-equal and balanced stable matchings.
+"""Counting, exactly uniform sampling, per-vertex marginals and least
+weighted downsets of a DAG, all over one lazy step plan (`_plan`) of an
+insert order: each insert's slot, the slot masks of its live neighbours and
+the vertices forgotten after it. `_run` applies an insert and one forget per
+insert, for counting and for `_least`, whose least bitmasks per summed
+weight `fairness` scores. `_dp` yields each insert and forget as a step;
+sampling and marginals keep the table before each forget and walk back.
 
 The DP inserts the vertices in the given order and forgets each vertex as
 soon as its last neighbour is inserted, so its tables span only the live
 vertices: it runs in O(2^s s n) for s the vertex separation of the order
 (Kinnersley 1992). Its width cap reads the live vertices.
 
-The instance ops in `fairness` hand `_count`, `_sample` and `_marginals`
-the order they chose. The public calls take any bag sequence: they walk
-all of `pathdecomp._nice_steps`, which refuses an invalid decomposition of
-g with ValidationError before any DP step, whatever the caps, and run the
-private entry over its insert order, whose vertex separation is at most
-the decomposition's width.
+The instance ops in `fairness` hand `_count`, `_least`, `_sample` and
+`_marginals` the order they chose. The public calls take any bag sequence:
+they walk all of `pathdecomp._nice_steps`, which refuses an invalid
+decomposition of g with ValidationError before any DP step, whatever the
+caps, and run the private entry over its insert order, whose vertex
+separation is at most the decomposition's width.
 
 Counts are plain Python ints, so they are exact at any size.
 """
@@ -116,8 +113,8 @@ def _plan(
             return
 
 
-def _insert(table: dict[int, int], vbit: int, umask: int, wmask: int) -> dict[int, int]:
-    """The table after inserting the vertex of slot vbit: each state keeps
+def _insert(table: dict[int, int], _v: int, vbit: int, umask: int, wmask: int) -> dict[int, int]:
+    """The table after inserting the vertex _v of slot vbit: each state keeps
     its count without it, when none of its live out-neighbours is in, and
     with it, when all of its live in-neighbours are. Slot vbit is free in
     every key, so no two writes meet and no count is copied by adding it to 0.
@@ -140,6 +137,19 @@ def _forget(table: dict[int, int], keep: int) -> dict[int, int]:
     return new
 
 
+def _run(order: list[int], in_adj, out_adj, table: dict, insert, forget) -> dict:
+    """The last table of `_plan` over order from the start table: per insert,
+    the caps, insert(table, v, vbit, umask, wmask), and one forget(table,
+    keep) for all the slots forgotten after it, keep masking the others.
+    """
+    for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
+        _caps(live, len(table))
+        table = insert(table, v, vbit, umask, wmask)
+        if forgets:
+            table = forget(table, ~sum(forgets.values()))
+    return table
+
+
 def _dp(
     order: list[int],
     in_adj: dict[int, tuple[int, ...]],
@@ -158,7 +168,7 @@ def _dp(
     table: dict[int, int] = {0: 1}
     for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
         _caps(live, len(table))
-        table = _insert(table, vbit, umask, wmask)
+        table = _insert(table, v, vbit, umask, wmask)
         yield v, vbit, True, table
         for u, ubit in forgets.items():
             table = _forget(table, ~ubit)
@@ -184,13 +194,39 @@ def count_downsets(g: Dag, x: PathDecomposition) -> int:
 
 def _count(g: Dag, order: list[int]) -> int:
     """`count_downsets` over order."""
-    table = {0: 1}
-    for live, _v, vbit, umask, wmask, forgets in _plan(order, g.in_adj, g.out_adj):
-        _caps(live, len(table))
-        table = _insert(table, vbit, umask, wmask)
-        if forgets:
-            table = _forget(table, ~sum(forgets.values()))
-    return sum(table.values())
+    return sum(_run(order, g.in_adj, g.out_adj, {0: 1}, _insert, _forget).values())
+
+
+def _least(g: Dag, order: list[int], weights: list[int]) -> dict[int, int]:
+    """{summed weight: least bitmask} over the downsets of g, which sum
+    weights[v - 1] >= 0 and 2^(v - 1) over their vertices v; caps as
+    `count_downsets`. A table key packs the live slots' mask under the
+    summed weight, above every slot bit as an insert past the width cap is
+    refused. Its value is the least bitmask of the partial downsets with that
+    key; an extension adds the same bits to all of them, so it stays least.
+    """
+    shift = HARD_WIDTH_CAP + 1
+
+    def insert(table, v, vbit, umask, wmask):
+        step, idbit = (weights[v - 1] << shift) + vbit, 1 << (v - 1)
+        new = {}
+        for k, b in table.items():
+            if not k & wmask:
+                new[k] = b
+            if k & umask == umask:
+                new[k + step] = b + idbit
+        return new
+
+    def forget(table, keep):
+        new = {}
+        for k, b in table.items():
+            k &= keep
+            if k not in new or b < new[k]:
+                new[k] = b
+        return new
+
+    table = _run(order, g.in_adj, g.out_adj, {0: 0}, insert, forget)
+    return {k >> shift: b for k, b in table.items()}
 
 
 def _forward(g: Dag, order: list[int]):
@@ -267,10 +303,7 @@ def _marginals(g: Dag, order: list[int]) -> tuple[int, dict[int, int]]:
     marginals = {}
     for v, vbit, inserted, before in reversed(steps):
         if inserted:
-            prior: dict[int, int] = {}
-            for b, c in after.items():
-                a = b & ~vbit
-                prior[a] = prior.get(a, 0) + c
+            prior = _forget(after, ~vbit)
         else:
             # only stored states: completing every bag state would cost 2^w
             prior = {a: after[a & ~vbit] for a in before if (a & ~vbit) in after}

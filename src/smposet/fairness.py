@@ -1,7 +1,8 @@
 """Instance-level counting, exact uniform sampling, median stable matchings,
-and exact sex-equal / balanced stable matchings (`_optimize`), all by the
-downset DP over the order of `_prepare`, with no bags. The brute-force
-optimizers, which list every stable matching, are kept as oracles.
+and exact sex-equal / balanced stable matchings (`_optimize`, which scores
+what `downsets._least` finds), all by the downset DP over the order of
+`_prepare`, with no bags. The brute-force optimizers, which list every
+stable matching and break ties as the DP does, are kept as oracles.
 """
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceededError, ValidationError
-from . import downsets
-from .downsets import _caps, _count, _marginals, _plan, _sample
+from .downsets import _count, _least, _marginals, _sample
 from .instance import Instance, Matching, _min_ranks
 from .pathdecomp import _extent_order, _layout_bags
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
@@ -120,18 +120,15 @@ def median_stable_matching(inst: Instance, upper: bool = False) -> Matching:
 
 def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
     """The stable matching of least `key_name` score, "delta" or "beta", and
-    its scores, by one DP pass over the plan, in time pseudo-polynomial in
-    n^2 and exponential only in the live width. Ties go to the downset of
-    least rotation-id bitmask, sum of 2^id.
+    its scores, by one `_least` pass over the order of `_prepare`, in time
+    pseudo-polynomial in n^2 and exponential only in the live width. Ties go
+    to the downset of least rotation-id bitmask, sum of 2^id.
 
     Eliminating a rotation moves each man m_i from w_i down to w_{i+1} and
     each woman w_{i+1} from m_{i+1} up to m_i, so it adds a fixed up > 0 to
-    S_M and takes a fixed down > 0 from S_W, whatever the downset. A table
-    key packs the live slots' mask under a weight of the inserted rotations:
-    the sum of up + down, which fixes S_M - S_W, or, for beta, both sums with
-    up's in the high bits. Its value is the least bitmask of the partial
-    downsets with that key; an extension adds the same bits to all of them,
-    so the least stays least, and it names the optimal downset at the end.
+    S_M and takes a fixed down > 0 from S_W, whatever the downset. Its weight
+    is up + down, whose sum fixes S_M - S_W, or, for beta, both sums, up's in
+    the high bits. `_least`'s bitmask of the best weight names the optimum.
 
     Scores the man-optimal matching first, so an instance that leaves an
     agent unmatched is refused by `FairnessScores.of`: by the rural
@@ -159,29 +156,7 @@ def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
             return max(base.s_men + (t >> low), base.s_women - (t & ((1 << low) - 1)))
 
         weights = [(up << low) + down for up, down in moves]
-    # the live slots' bits sit below this, since an insert past the cap is refused
-    shift = downsets.HARD_WIDTH_CAP + 1
-    table = {0: 0}
-    for live, v, vbit, umask, wmask, forgets in _plan(order, g.in_adj, g.out_adj):
-        _caps(live, len(table))
-        step = (weights[v - 1] << shift) + vbit
-        idbit = 1 << (v - 1)
-        new = {}
-        for k, b in table.items():
-            if not k & wmask:
-                new[k] = b
-            if k & umask == umask:
-                new[k + step] = b + idbit
-        table = new
-        if forgets:
-            keep = ~sum(forgets.values())
-            new = {}
-            for k, b in table.items():
-                k &= keep
-                if k not in new or b < new[k]:
-                    new[k] = b
-            table = new
-    _t, least = min((score(k >> shift), b) for k, b in table.items())
+    _t, least = min((score(t), b) for t, b in _least(g, order, weights).items())
     mu = matching_from_downset(inst, dg, [i for i in range(len(dg.rotations)) if least >> i & 1])
     return mu, FairnessScores.of(inst, mu)
 
@@ -194,10 +169,9 @@ def _bruteforce(inst: Instance, key_name: str):
         raise CapExceededError(f"{total} stable matchings exceed cap {MAX_MATCHINGS}")
     best: Optional[tuple] = None
     for zs in enumerate_downsets_bruteforce(g, max_p=g.p):
-        ids = tuple(sorted(v - 1 for v in zs))
-        mu = matching_from_downset(inst, dg, ids)
+        mu = matching_from_downset(inst, dg, [v - 1 for v in zs])
         scores = FairnessScores.of(inst, mu)
-        key = (getattr(scores, key_name), ids)
+        key = (getattr(scores, key_name), sum(1 << (v - 1) for v in zs))
         if best is None or key < best[0]:
             best = (key, mu, scores)
     assert best is not None
@@ -206,15 +180,15 @@ def _bruteforce(inst: Instance, key_name: str):
 
 def sex_equal_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
     """Stable matching minimizing |S_M - S_W| by enumerating all downsets;
-    ties broken by the lexicographically least downset. Raises
-    CapExceededError, before listing any, if there are more than
-    MAX_MATCHINGS.
+    ties go to the downset of least rotation-id bitmask, sum of 2^id, as in
+    the DP. Raises CapExceededError, before listing any, if there are more
+    than MAX_MATCHINGS.
     """
     return _bruteforce(inst, "delta")
 
 
 def balanced_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
-    """Stable matching minimizing max(S_M, S_W), same search and cap as
-    sex-equal.
+    """Stable matching minimizing max(S_M, S_W), same search, tie rule and
+    cap as sex-equal.
     """
     return _bruteforce(inst, "beta")

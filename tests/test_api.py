@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import smposet
 
@@ -32,3 +34,22 @@ def test_public_names():
     exec("from smposet import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC
     assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_dp_internals_stay_in_downsets():
+    # the plan, its caps and the count's table updates are read only by the
+    # DP loops in `downsets`; every other module calls its entry points
+    internal = {"_plan", "_caps", "_insert", "_forget", "HARD_WIDTH_CAP", "MAX_STATES"}
+    src = Path(smposet.__file__).parent
+    modules = sorted(m for m in src.glob("*.py") if m.name != "downsets.py")
+    assert len(modules) > 5
+    for module in modules:
+        named = set()
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & internal, (module.name, sorted(named & internal))

@@ -421,6 +421,19 @@ def test_count_instance_width_refusal_exits_3(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_fair_state_cap_exits_3(tmp_path, capsys, monkeypatch):
+    from smposet import downsets
+
+    path = tmp_path / "grid.sm"
+    path.write_text(format_instance(realize_complete(grid_poset(4))))
+    monkeypatch.setattr(downsets, "MAX_STATES", 88)
+    assert run(capsys, "count", "--instance", path) == (0, "70\n", "")
+    for objective, states in (("sexequal", 98), ("balanced", 100)):
+        assert run(capsys, "fair", "--instance", path, "--objective", objective) == (
+            3, "", f"cap exceeded: {states} DP states exceed cap 88\n"
+        )
+
+
 def test_count_dag_accepts_non_nice_decomposition(workdir, capsys):
     pd = workdir / "single.pd"
     pd.write_text("PD 1\n1 2 3 4\n")

@@ -213,6 +213,27 @@ def test_count_antichain_in_one_bag_under_state_cap(monkeypatch):
     assert sizes == [(v, ins, 2 if ins else 1) for v in range(1, 13) for ins in (True, False)]
 
 
+def test_least_gives_the_least_bitmask_of_each_weight_sum():
+    # over a shuffled insert order, against every downset: the keys are the
+    # reachable weight sums, each with the least sum of 2^(v-1) over a
+    # downset of that weight; small weights tie often, large ones sit far
+    # above the slot bits
+    from smposet import downsets
+
+    rng = random.Random(331)
+    for _ in range(200):
+        g = random_dag(rng, rng.randint(0, 10), rng.choice([0.2, 0.4, 0.6]))
+        top = rng.choice([3, 1 << 40])
+        weights = [rng.randint(1, top) for _ in range(g.p)]
+        order = list(g.vertices())
+        rng.shuffle(order)
+        want: dict[int, int] = {}
+        for z in enumerate_downsets_bruteforce(g):
+            w, b = sum(weights[v - 1] for v in z), sum(1 << (v - 1) for v in z)
+            want[w] = min(b, want.get(w, b))
+        assert downsets._least(g, order, weights) == want
+
+
 def test_descendants_chain():
     g = Dag(3, [(1, 2), (2, 3)])
     assert reachable_from(g, 1) == {1, 2, 3}

@@ -274,8 +274,9 @@ def test_fair_matches_exhaustive_scan():
             scores = [getattr(FairnessScores.of(inst, mu), key) for mu in matchings]
             best = min(range(len(matchings)), key=lambda i: (scores[i], bits[i]))
             mu, got = _optimize(inst, key)
-            assert getattr(got, key) == scores[best] == getattr(bruteforce(inst)[1], key)
-            assert mu == matchings[best]
+            brute_mu, brute = bruteforce(inst)
+            assert getattr(got, key) == scores[best] == getattr(brute, key)
+            assert mu == matchings[best] == brute_mu
 
 
 def test_fair_cap(monkeypatch):
@@ -322,6 +323,20 @@ def test_width_refusal_surfaces_through_every_instance_op(monkeypatch):
     ):
         with pytest.raises(CapExceededError, match="^6 live vertices exceed width cap 4$"):
             call()
+
+
+def test_state_cap_sees_the_optimizer_tables(monkeypatch):
+    # the optimizer keys its tables on a summed weight as well as the live
+    # mask, so they outgrow the count's: under a state cap that the count
+    # passes, each objective is refused at its own table's size
+    from smposet import downsets
+
+    inst = realize_complete(grid_poset(4))
+    monkeypatch.setattr(downsets, "MAX_STATES", 88)
+    assert count_stable_matchings(inst) == 70
+    for key, states in (("delta", 98), ("beta", 100)):
+        with pytest.raises(CapExceededError, match=f"^{states} DP states exceed cap 88$"):
+            _optimize(inst, key)
 
 
 def test_sample_checks_draws_before_any_analysis(monkeypatch):
