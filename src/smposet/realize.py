@@ -14,7 +14,9 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial, reduce
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -170,32 +172,49 @@ def _moment_point(i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(i) ** j for j in range(1, 7))
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _scaled_roots(listed: Sequence[int], n: int) -> list[int]:
+    """D r for each root r of the functional that ranks the listed 0-based
+    indices first, in order, above every other index, where index j sits on
+    the moment curve at t = j + 1 and D = 4n^4.
 
-
-def _ranking_functional(listed: Sequence[int], n: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Weights and constant that rank the listed 1-based moment-curve indices
-    first, in order, above every other index.
-
-    Built from q(t) = (t-i1)^2 (t-i2+d2)^2 (t-i3+d3)^2 with d2 = 1/(4n^4) and
-    d3 = 1/(2n^2); phi = -q ranks ascending q descending.
+    The roots are r1 = j1 + 1, r2 = j2 + 1 - 1/(4n^4) and r3 = j3 + 1 -
+    1/(2n^2), so the scaled roots are D (j + 1) minus a shift of 0, 1 and
+    2n^2. The functional is phi(t) = -prod (t - r)^2, which orders points as
+    -|prod (D t - D r)| does.
     """
-    d2 = Fraction(1, 4 * n**4)
-    d3 = Fraction(1, 2 * n**2)
-    shifts = [Fraction(0), d2, d3]
-    poly = [Fraction(1)]
-    for i, root in enumerate(listed):
-        r = Fraction(root) - shifts[i]
-        factor = [r * r, -2 * r, Fraction(1)]  # (t - r)^2
-        poly = _poly_mul(poly, factor)
-    coeffs = poly + [Fraction(0)] * (7 - len(poly))
-    weights = tuple(-coeffs[j] for j in range(1, 7))
-    return weights, -coeffs[0]
+    d = 4 * n**4
+    return [d * (j + 1) - s for j, s in zip(listed, (0, 1, 2 * n * n))]
+
+
+def _root_functional(roots: Sequence[int], n: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Weights and constant of phi(t) = -prod (t - A/D)^2 over the scaled
+    roots A, with D = 4n^4, as a functional of the point (t, t^2, ..., t^6).
+    """
+    d = 4 * n**4
+    poly = [1]  # prod (D t - A)^2 = D^(2L) prod (t - A/D)^2, lowest degree first
+    for a in [*roots, *roots]:
+        poly = [d * x - a * y for x, y in zip([0, *poly], [*poly, 0])]
+    scale = d ** (len(poly) - 1)
+    coeffs = [Fraction(-c, scale) for c in poly] + [Fraction(0)] * (7 - len(poly))
+    return tuple(coeffs[1:]), coeffs[0]
+
+
+def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> list[list[int]]:
+    """Each agent's ranking of the moment-curve points t = 1..n by descending
+    value of the functional with that agent's scaled roots A: by ascending
+    |prod (D t - A)|, with D = 4n^4. Raises on a tie, as evaluate_profiles
+    does.
+    """
+    d = 4 * n**4
+    dts = [d * t for t in range(1, n + 1)]
+    out = []
+    for i, agent in enumerate(roots):
+        factors = [map(operator.sub, dts, repeat(a)) for a in agent]
+        vals = list(map(abs, reduce(partial(map, operator.mul), factors)))
+        if len(set(vals)) < len(vals):
+            raise ValidationError(f"tie in {who} {i}'s ranking")
+        out.append(sorted(range(len(vals)), key=vals.__getitem__))
+    return out
 
 
 def evaluate_profiles(
@@ -212,6 +231,10 @@ def evaluate_profiles(
     denominators, and each side's points by the LCM of theirs. Both factors
     are positive, and the constant adds the same to every score of a ranking,
     so the order and the ties are those of the rational values.
+
+    This ranks any profiles. realize_attr6 does not call it, since it ranks
+    from the roots of its functionals; the tests use it as the oracle that
+    those rankings equal the ones the printed profiles give.
     """
 
     def integer_rows(rows) -> list[list[int]]:
@@ -250,6 +273,13 @@ def realize_attr6(h: Dag) -> AttrRealization:
     Starts from the 3-bounded construction, pads every list to length three
     (smallest absent index), places agent i on the moment curve at i+1, and
     synthesizes each agent's functional so their padded list comes first.
+
+    Each functional is -prod (t - r)^2 over roots r next to the agent's
+    padded list, so each list is ranked from the roots alone: at D = 4n^4
+    every root scales to an integer D r, and the points order by ascending
+    |prod (D t - D r)|, with no functional evaluated. The profiles carry the
+    same functionals as exact rationals, and evaluate_profiles gives the
+    same lists from them.
     """
     base = realize_bounded3(h)
     n = base.n_men
@@ -266,21 +296,27 @@ def realize_attr6(h: Dag) -> AttrRealization:
             out.append(lst)
         return out
 
-    def profiles(padded_lists):
-        return [
-            AttributeProfile(_moment_point(i + 1), *_ranking_functional([j + 1 for j in lst], n))
-            for i, lst in enumerate(padded_lists)
-        ]
-
     men_padded = padded(base.men_prefs, base.n_women)
     women_padded = padded(base.women_prefs, base.n_men)
-    men_profiles = profiles(men_padded)
-    women_profiles = profiles(women_padded)
-    inst = evaluate_profiles(men_profiles, women_profiles, base.men_labels, base.women_labels)
+    men_roots = [_scaled_roots(lst, n) for lst in men_padded]
+    women_roots = [_scaled_roots(lst, n) for lst in women_padded]
+    inst = Instance(
+        _rank_by_roots(men_roots, n, "man"),
+        _rank_by_roots(women_roots, n, "woman"),
+        base.men_labels,
+        base.women_labels,
+    )
     for lst, prefix in zip(inst.men_prefs + inst.women_prefs, men_padded + women_padded):
         if list(lst[: len(prefix)]) != prefix:
             raise ValidationError("internal error: functional does not honor the bounded prefix")
-    return AttrRealization(inst, tuple(men_profiles), tuple(women_profiles))
+
+    def profiles(roots):
+        return tuple(
+            AttributeProfile(_moment_point(i + 1), *_root_functional(r, n))
+            for i, r in enumerate(roots)
+        )
+
+    return AttrRealization(inst, profiles(men_roots), profiles(women_roots))
 
 
 @dataclass(frozen=True)

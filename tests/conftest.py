@@ -57,6 +57,17 @@ def band_poset(rng, p: int) -> Dag:
     ])
 
 
+def renamed_band(poset_rng, name_rng, p: int) -> tuple[Dag, PathDecomposition]:
+    """A band poset drawn by poset_rng with its vertices renamed by a
+    permutation drawn by name_rng, and the renamed band decomposition: the
+    bags {i..i+3}, of width 3, for p >= 4.
+    """
+    name = [0] + name_rng.sample(range(1, p + 1), p)
+    g = Dag(p, [(name[u], name[v]) for u, v in band_poset(poset_rng, p).edges])
+    x = PathDecomposition.of([[name[v] for v in range(i, i + 4)] for i in range(1, p - 2)])
+    return g, x
+
+
 def grid_poset(k: int) -> Dag:
     """The k x k grid, (i, j) -> (i + 1, j) and (i, j) -> (i, j + 1), with
     (i, j) numbered i k + j + 1. Its C(2k, k) downsets are the monotone

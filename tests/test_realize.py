@@ -16,6 +16,8 @@ from smposet import (
     check_realization,
     compute_range,
     construct_instance,
+    count_downsets,
+    count_stable_matchings,
     evaluate_profiles,
     format_instance,
     gale_shapley,
@@ -33,7 +35,7 @@ from smposet import (
 )
 from smposet import realize
 
-from conftest import corrupt_bags, data_text, posets_upto_isomorphism, random_dag
+from conftest import corrupt_bags, data_text, posets_upto_isomorphism, random_dag, renamed_band
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 DIAMOND_LIST = Dag(4, [(4, 2), (4, 3), (2, 1), (3, 1)])
@@ -234,16 +236,16 @@ def test_attr6_prefix_matches_bounded_lists(monkeypatch):
     for w in range(base.n_women):
         got = list(res.instance.women_prefs[w][: len(base.women_prefs[w])])
         assert got == list(base.women_prefs[w])
-    # a functional that misorders one agent's bounded prefix, on either side, is caught
-    evaluate = realize.evaluate_profiles
-    for side in (0, 1):
-        def misordered(*args, side=side):
-            inst = evaluate(*args)
-            prefs = [list(inst.men_prefs), list(inst.women_prefs)]
-            prefs[side][0] = prefs[side][0][::-1]
-            return Instance(*prefs, inst.men_labels, inst.women_labels)
+    # a ranking that misorders one agent's bounded prefix, on either side, is caught
+    rank = realize._rank_by_roots
+    for side in ("man", "woman"):
+        def misordered(roots, n, who, side=side):
+            lists = rank(roots, n, who)
+            if who == side:
+                lists[0] = lists[0][::-1]
+            return lists
 
-        monkeypatch.setattr(realize, "evaluate_profiles", misordered)
+        monkeypatch.setattr(realize, "_rank_by_roots", misordered)
         with pytest.raises(ValidationError, match="does not honor the bounded prefix"):
             realize_attr6(DIAMOND)
 
@@ -259,9 +261,11 @@ def test_attr6_total_and_strict_for_n3():
 
 
 def test_attr6_round_trip_through_profiles():
+    # evaluate_profiles is the oracle: it ranks by the printed functionals
     rng = random.Random(167)
-    for _ in range(6):
-        g = random_dag(rng, rng.randint(1, 5))
+    posets = [random_dag(rng, rng.randint(1, 5)) for _ in range(6)]
+    posets += [renamed_band(random.Random(p), random.Random(p + 1), p)[0] for p in (8, 20, 40, 60)]
+    for g in posets:
         res = realize_attr6(g)
         again = evaluate_profiles(
             res.men_profiles,
@@ -271,6 +275,55 @@ def test_attr6_round_trip_through_profiles():
         )
         assert again == res.instance
         assert check_realization(g, res.instance)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_ranking_functional(listed, n):
+    """The functional built by Fraction polynomial products, kept as the
+    reference for the integer one.
+    """
+    d2 = Fraction(1, 4 * n**4)
+    d3 = Fraction(1, 2 * n**2)
+    shifts = [Fraction(0), d2, d3]
+    poly = [Fraction(1)]
+    for i, root in enumerate(listed):
+        r = Fraction(root) - shifts[i]
+        factor = [r * r, -2 * r, Fraction(1)]  # (t - r)^2
+        poly = _poly_mul(poly, factor)
+    coeffs = poly + [Fraction(0)] * (7 - len(poly))
+    weights = tuple(-coeffs[j] for j in range(1, 7))
+    return weights, -coeffs[0]
+
+
+def test_attr6_integer_functional_matches_fraction_products():
+    rng = random.Random(181)
+    for k in range(300):
+        n = k + 1 if k < 3 else rng.randint(1, 700)
+        listed = rng.sample(range(n), min(3, n))
+        got = realize._root_functional(realize._scaled_roots(listed, n), n)
+        assert got == _fraction_ranking_functional([j + 1 for j in listed], n)
+
+
+def test_attr6_ranking_detects_ties():
+    # with n = 3, the points 1 and 3 lie at equal distance from the root 2
+    d = 4 * 3**4
+    with pytest.raises(ValidationError, match="tie in woman 0's ranking"):
+        realize._rank_by_roots([[2 * d]], 3, "woman")
+
+
+@pytest.mark.parametrize("p, count", [(100, 15839232), (200, 22092801638400)])
+def test_attr6_realize_then_count(p, count):
+    # the reduction end to end at sizes no brute force reaches: the stable
+    # matchings of the realization are counted as the poset's downsets are
+    g, x = renamed_band(random.Random(7), random.Random(1), p)
+    assert count_stable_matchings(realize_attr6(g).instance) == count_downsets(g, x) == count
 
 
 def test_attr6_points_on_moment_curve():
