@@ -1,10 +1,11 @@
 """Counting, exactly uniform sampling, per-vertex marginals and least
-weighted downsets of a DAG, all over one lazy step plan (`_plan`) of an
-insert order: each insert's slot, the slot masks of its live neighbours and
-the vertices forgotten after it. `_run` applies an insert and one forget per
-insert, for counting and for `_least`, whose least bitmasks per summed
-weight `fairness` scores. `_dp` yields each insert and forget as a step;
-sampling and marginals keep the table before each forget and walk back.
+weighted downsets of a DAG, all by one loop, `_run`, over one lazy step plan
+(`_plan`) of an insert order: each insert's slot, the slot masks of its live
+neighbours and the vertices forgotten after it. Each pass gives `_run` an
+insert and a forget. Counting and `_least` (whose least bitmasks per summed
+weight `fairness` scores) forget an insert's vertices in one dict pass;
+`_forward`, for sampling and marginals, forgets one vertex at a time and
+keeps the table before each, for the backward walks.
 
 The DP inserts the vertices in the given order and forgets each vertex as
 soon as its last neighbour is inserted, so its tables span only the live
@@ -37,6 +38,10 @@ from .posets import Dag
 HARD_WIDTH_CAP = 30
 # an insert can double the table, so it is refused when twice it would pass this
 MAX_STATES = 1 << 20
+# the states sample and median store, about 90 bytes each, so under 400 MB;
+# the largest store known to answer (attr6's p = 200 band median, 2,403,409)
+# is 1.75 times below it, and every benchmark input stores under 1000
+MAX_STORED = 1 << 22
 
 
 def _caps(live: int, states: int) -> None:
@@ -128,7 +133,7 @@ def _insert(table: dict[int, int], _v: int, vbit: int, umask: int, wmask: int) -
     return new
 
 
-def _forget(table: dict[int, int], keep: int) -> dict[int, int]:
+def _forget(table: dict[int, int], keep: int, _forgets=None) -> dict[int, int]:
     """The table summed over the slot bits outside keep."""
     new: dict[int, int] = {}
     for a, c in table.items():
@@ -138,41 +143,17 @@ def _forget(table: dict[int, int], keep: int) -> dict[int, int]:
 
 
 def _run(order: list[int], in_adj, out_adj, table: dict, insert, forget) -> dict:
-    """The last table of `_plan` over order from the start table: per insert,
-    the caps, insert(table, v, vbit, umask, wmask), and one forget(table,
-    keep) for all the slots forgotten after it, keep masking the others.
+    """The last table of `_plan` over order from the start table, in the
+    one loop over the plan: per insert, the caps, insert(table, v, vbit,
+    umask, wmask), and one forget(table, keep, forgets) for the vertices
+    forgotten after it, keep masking the other slots and forgets the plan's.
     """
     for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
         _caps(live, len(table))
         table = insert(table, v, vbit, umask, wmask)
         if forgets:
-            table = forget(table, ~sum(forgets.values()))
+            table = forget(table, ~sum(forgets.values()), forgets)
     return table
-
-
-def _dp(
-    order: list[int],
-    in_adj: dict[int, tuple[int, ...]],
-    out_adj: dict[int, tuple[int, ...]],
-):
-    """The table update loop over the plan of an insert order. Yields
-    (v, vbit, inserted, table) per step: the vertex, its slot bit, whether it
-    was inserted, and the new table. A table maps a bitmask over the slots of
-    the live vertices to the number of downsets of the inserted subgraph
-    that meet them exactly there. Each vertex the plan forgets after an
-    insert is its own step, so a backward walk can decide it alone.
-
-    Raises CapExceededError at an insert that would make more than
-    HARD_WIDTH_CAP + 1 vertices live, or whose table could pass MAX_STATES.
-    """
-    table: dict[int, int] = {0: 1}
-    for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
-        _caps(live, len(table))
-        table = _insert(table, v, vbit, umask, wmask)
-        yield v, vbit, True, table
-        for u, ubit in forgets.items():
-            table = _forget(table, ~ubit)
-            yield u, ubit, False, table
 
 
 def _insert_order(g: Dag, x: PathDecomposition) -> list[int]:
@@ -217,7 +198,7 @@ def _least(g: Dag, order: list[int], weights: list[int]) -> dict[int, int]:
                 new[k + step] = b + idbit
         return new
 
-    def forget(table, keep):
+    def forget(table, keep, _forgets):
         new = {}
         for k, b in table.items():
             k &= keep
@@ -230,15 +211,32 @@ def _least(g: Dag, order: list[int], weights: list[int]) -> dict[int, int]:
 
 
 def _forward(g: Dag, order: list[int]):
-    """The steps of the forward pass over order, each with the table before
-    it if it is a forget step, and the downset count.
+    """The steps (v, vbit, inserted, before) of `_run` over order with one
+    forget step per vertex, before the table a forget step starts from
+    (None for an insert), and the downset count. A table maps a mask of live
+    slots to the downsets of the inserted subgraph meeting them exactly
+    there. Caps as `count_downsets`, and refuses a stored table that would
+    take the stored states past MAX_STORED.
     """
     steps = []
-    before = {0: 1}
-    for v, vbit, inserted, table in _dp(order, g.in_adj, g.out_adj):
-        steps.append((v, vbit, inserted, None if inserted else before))
-        before = table
-    return steps, sum(before.values())
+    stored = 0
+
+    def insert(table, v, vbit, umask, wmask):
+        steps.append((v, vbit, True, None))
+        return _insert(table, v, vbit, umask, wmask)
+
+    def forget(table, _keep, forgets):
+        nonlocal stored
+        for u, ubit in forgets.items():
+            stored += len(table)
+            if stored > MAX_STORED:
+                raise CapExceededError(f"{stored} stored DP states exceed cap {MAX_STORED}")
+            steps.append((u, ubit, False, table))
+            table = _forget(table, ~ubit)
+        return table
+
+    table = _run(order, g.in_adj, g.out_adj, {0: 1}, insert, forget)
+    return steps, sum(table.values())
 
 
 def uniform_int(rng: random.Random, n: int) -> int:
@@ -258,10 +256,10 @@ def sample_downsets(
     g: Dag, x: PathDecomposition, rng: random.Random, draws: int
 ) -> list[frozenset[int]]:
     """Downsets of g drawn independently and exactly uniformly, after one
-    forward pass with the caps of `count_downsets`. Each draw walks the
-    steps backward from the empty final bag; at a forget step the vertex is
-    kept with probability (stored count of the state with its bit set) /
-    (sum of the stored counts with and without it), by one `uniform_int`.
+    forward pass with the caps of `_forward`. Each draw walks the steps
+    backward from the empty final bag; at a forget step the vertex is kept
+    with probability (stored count of the state with its bit set) / (sum of
+    the stored counts with and without it), by one `uniform_int`.
     """
     if draws < 1:
         raise ValidationError(f"draws must be positive, got {draws}")

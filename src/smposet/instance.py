@@ -90,9 +90,9 @@ class Instance:
     m appears on w's. Ranks are 1-based, matching the usual P_a(b) notation.
 
     `Instance(...)` takes outside input and checks all of it (`_validate`).
-    `parse_instance` builds through `_parsed`, which skips the checks the
-    parser has already made; both run `_index`, and a fault is named the
-    same way on either path.
+    `parse_instance` and `realize_attr6` build through `_parsed`, which
+    skips the checks their lists have already passed; both paths run
+    `_index`, and a fault is named the same way on either.
     """
 
     def __init__(
@@ -113,9 +113,12 @@ class Instance:
         men_labels: Sequence[str],
         women_labels: Sequence[str],
     ) -> "Instance":
-        """An instance from `parse_instance`, whose lists are tuples of exact
-        ints in range and whose labels are counted and distinct: only the
-        checks the parser cannot make, those of `_index`, run.
+        """An instance built from lists already known to be tuples of exact
+        ints in range, with labels already counted and distinct: only the
+        checks of `_index` run. Two callers meet that precondition:
+        `parse_instance`, which has checked what it read, and `realize_attr6`,
+        whose lists are permutations of range(n) under the labels of a
+        checked instance.
         """
         inst = cls.__new__(cls)
         inst._fill(men_prefs, women_prefs, men_labels, women_labels)

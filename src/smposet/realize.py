@@ -199,11 +199,11 @@ def _root_functional(roots: Sequence[int], n: int) -> tuple[tuple[Fraction, ...]
     return tuple(coeffs[1:]), coeffs[0]
 
 
-def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> list[list[int]]:
+def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> tuple[tuple[int, ...], ...]:
     """Each agent's ranking of the moment-curve points t = 1..n by descending
     value of the functional with that agent's scaled roots A: by ascending
-    |prod (D t - A)|, with D = 4n^4. Raises on a tie, as evaluate_profiles
-    does.
+    |prod (D t - A)|, with D = 4n^4, as a permutation of range(n). Raises on
+    a tie, as evaluate_profiles does.
     """
     d = 4 * n**4
     dts = [d * t for t in range(1, n + 1)]
@@ -213,8 +213,8 @@ def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> list[lis
         vals = list(map(abs, reduce(partial(map, operator.mul), factors)))
         if len(set(vals)) < len(vals):
             raise ValidationError(f"tie in {who} {i}'s ranking")
-        out.append(sorted(range(len(vals)), key=vals.__getitem__))
-    return out
+        out.append(tuple(sorted(range(len(vals)), key=vals.__getitem__)))
+    return tuple(out)
 
 
 def evaluate_profiles(
@@ -300,7 +300,8 @@ def realize_attr6(h: Dag) -> AttrRealization:
     women_padded = padded(base.women_prefs, base.n_men)
     men_roots = [_scaled_roots(lst, n) for lst in men_padded]
     women_roots = [_scaled_roots(lst, n) for lst in women_padded]
-    inst = Instance(
+    # permutations of range(n) under bounded3's labels: only `_index` checks
+    inst = Instance._parsed(
         _rank_by_roots(men_roots, n, "man"),
         _rank_by_roots(women_roots, n, "woman"),
         base.men_labels,

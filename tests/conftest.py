@@ -376,6 +376,35 @@ def parent_dp(bags, in_adj, out_adj):
         yield v, vbit, bool(size), table
 
 
+def recorded_dp(order, in_adj, out_adj):
+    """The count's DP over an insert order, one step per insert and per
+    forgotten vertex: `downsets._run` with the real `_insert`, and a forget
+    that applies `_forget` once for each vertex the plan forgets. Returns
+    the steps (v, vbit, inserted, table), each with the table after it, and
+    the CapExceededError that ended the pass, or None.
+    """
+    from smposet import downsets
+
+    steps = []
+
+    def insert(table, v, vbit, umask, wmask):
+        table = downsets._insert(table, v, vbit, umask, wmask)
+        steps.append((v, vbit, True, table))
+        return table
+
+    def forget(table, _keep, forgets):
+        for u, ubit in forgets.items():
+            table = downsets._forget(table, ~ubit)
+            steps.append((u, ubit, False, table))
+        return table
+
+    try:
+        downsets._run(order, in_adj, out_adj, {0: 1}, insert, forget)
+    except CapExceededError as exc:
+        return steps, exc
+    return steps, None
+
+
 def stable_matchings_by_permutation_scan(inst: Instance) -> list[Matching]:
     """Oracle independent of the rotation machinery: filter every perfect
     matching by the blocking-pair predicate. Complete square instances only.

@@ -46,6 +46,7 @@ from conftest import (
     posets_upto_isomorphism,
     random_complete_instance,
     random_dag,
+    recorded_dp,
 )
 
 DIAMOND = Dag(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
@@ -304,11 +305,13 @@ def test_criterion_9_dp_cost_is_linear_in_n():
     # table grows to 2, 3, 4, 5 over the first four inserts, then holds 4
     # after each forget and 5 after each insert, and shrinks to 4, 3, 2, 1
     # over the last four forgets: 14 + 9(n - 4) + 10 = 9n - 12 in all
-    from smposet.downsets import _dp, _insert_order
+    from smposet.downsets import _insert_order
 
     for n in (50_000, 100_000):
         g, x = _width3_instance(n)
-        sizes = [len(t) for _v, _vbit, _i, t in _dp(_insert_order(g, x), g.in_adj, g.out_adj)]
+        steps, refusal = recorded_dp(_insert_order(g, x), g.in_adj, g.out_adj)
+        sizes = [len(t) for _v, _vbit, _i, t in steps]
+        assert refusal is None
         assert (len(sizes), sum(sizes), max(sizes)) == (2 * n, 9 * n - 12, 5)
 
 
@@ -317,7 +320,7 @@ def test_criterion_9_dp_cost_on_bands_is_linear_in_n():
     # kept with probability 0.15) over their bags {i..i+10}: 2n steps, no
     # table above the 2^11 masks of one bag, and a summed table size that
     # doubles with n
-    from smposet.downsets import _dp, _insert_order
+    from smposet.downsets import _insert_order
 
     totals = []
     for n in (5000, 10_000):
@@ -330,7 +333,9 @@ def test_criterion_9_dp_cost_on_bands_is_linear_in_n():
         ]
         g = Dag(n, edges)
         x = PathDecomposition.of([range(i, i + 11) for i in range(1, n - 9)])
-        sizes = [len(t) for _v, _vbit, _i, t in _dp(_insert_order(g, x), g.in_adj, g.out_adj)]
+        steps, refusal = recorded_dp(_insert_order(g, x), g.in_adj, g.out_adj)
+        sizes = [len(t) for _v, _vbit, _i, t in steps]
+        assert refusal is None
         assert len(sizes) == 2 * n
         assert max(sizes) <= 2**11
         totals.append(sum(sizes))

@@ -37,9 +37,11 @@ def test_public_names():
 
 
 def test_dp_internals_stay_in_downsets():
-    # the plan, its caps and the count's table updates are read only by the
-    # DP loops in `downsets`; every other module calls its entry points
-    internal = {"_plan", "_caps", "_insert", "_forget", "HARD_WIDTH_CAP", "MAX_STATES"}
+    # the plan, its caps and the count's table updates are read only inside
+    # `downsets`; every other module calls its entry points
+    internal = {
+        "_plan", "_caps", "_insert", "_forget", "HARD_WIDTH_CAP", "MAX_STATES", "MAX_STORED",
+    }
     src = Path(smposet.__file__).parent
     modules = sorted(m for m in src.glob("*.py") if m.name != "downsets.py")
     assert len(modules) > 5
@@ -53,3 +55,16 @@ def test_dp_internals_stay_in_downsets():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
         assert not named & internal, (module.name, sorted(named & internal))
+    # inside `downsets`, one loop walks the plan: `_plan` is named in the
+    # body of `_run` and of no other function, nor outside a function
+    tree = ast.parse((src / "downsets.py").read_text(encoding="utf-8"))
+
+    def names_plan(node):
+        return sum(isinstance(n, ast.Name) and n.id == "_plan" for n in ast.walk(node))
+
+    walkers = [
+        f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and names_plan(f)
+    ]
+    assert walkers == ["_run"], walkers
+    run = next(f for f in tree.body if getattr(f, "name", None) == "_run")
+    assert names_plan(tree) == names_plan(run)

@@ -434,6 +434,24 @@ def test_fair_state_cap_exits_3(tmp_path, capsys, monkeypatch):
         )
 
 
+def test_sample_and_median_stored_state_cap_exits_3(tmp_path, capsys, monkeypatch):
+    # sample and median store the table before each of the 16 forget steps
+    # of the grid's order, 133 states in all; the count stores none
+    from smposet import downsets
+
+    path = tmp_path / "grid.sm"
+    path.write_text(format_instance(realize_complete(grid_poset(4))))
+    monkeypatch.setattr(downsets, "MAX_STORED", 100)
+    assert run(capsys, "count", "--instance", path) == (0, "70\n", "")
+    for argv in (("sample", "--seed", "3", "--draws", "2"), ("median",)):
+        assert run(capsys, argv[0], "--instance", path, *argv[1:]) == (
+            3, "", "cap exceeded: 109 stored DP states exceed cap 100\n"
+        )
+    monkeypatch.setattr(downsets, "MAX_STORED", 133)
+    for argv in (("sample", "--seed", "3", "--draws", "2"), ("median",)):
+        assert run(capsys, argv[0], "--instance", path, *argv[1:])[0] == 0
+
+
 def test_count_dag_accepts_non_nice_decomposition(workdir, capsys):
     pd = workdir / "single.pd"
     pd.write_text("PD 1\n1 2 3 4\n")

@@ -27,6 +27,7 @@ from conftest import (
     random_dag,
     random_nice_bags,
     reachable_from,
+    recorded_dp,
     tight_nice_bags,
     validate_by_rescan,
 )
@@ -146,11 +147,9 @@ def test_count_width_cap(monkeypatch):
         with pytest.raises(CapExceededError, match="^6 live vertices exceed width cap 4$"):
             count_downsets(g, y)
     # refused at that insert, before its table is built
-    steps = []
-    with pytest.raises(CapExceededError):
-        for v, _vbit, inserted, _table in downsets._dp(list(range(1, 7)), g.in_adj, g.out_adj):
-            steps.append((v, inserted))
-    assert steps == [(v, True) for v in range(1, 6)]
+    steps, refusal = recorded_dp(list(range(1, 7)), g.in_adj, g.out_adj)
+    assert isinstance(refusal, CapExceededError)
+    assert [(v, inserted) for v, _vbit, inserted, _t in steps] == [(v, True) for v in range(1, 6)]
     # the same bag of six without the sink keeps one vertex live at a time
     assert count_downsets(Dag(6, []), x) == 64
 
@@ -199,6 +198,40 @@ def test_count_state_cap(monkeypatch):
     assert count_downsets(Dag(8, []), PathDecomposition.of([set(range(1, 9))])) == 256
 
 
+def test_stored_state_cap(monkeypatch):
+    # sampling and marginals keep the table before each forget step, and a
+    # pass is refused before a stored table would take the stored states
+    # past MAX_STORED: the shift i -> i + 3 keeps its tables at 12 states or
+    # fewer, far below MAX_STATES, yet stores 323 over its 30 forgets. The
+    # count stores nothing, so it answers under any such cap
+    from itertools import accumulate
+
+    from smposet import downsets
+
+    n = 30
+    g = Dag(n, [(i, i + 3) for i in range(1, n - 2)])
+    x = PathDecomposition.of([range(i, i + 4) for i in range(1, n - 2)])
+    steps, refusal = recorded_dp(list(range(1, n + 1)), g.in_adj, g.out_adj)
+    assert refusal is None
+    stored = list(accumulate(len(b[3]) for b, s in zip(steps, steps[1:]) if not s[2]))
+    assert (len(stored), stored[-1], max(len(s[3]) for s in steps)) == (30, 323, 12)
+    calls = (
+        lambda: sample_downsets(g, x, random.Random(1), 2),
+        lambda: downset_marginals(g, x),
+    )
+    for cap in (stored[-1] // 2, stored[-1] - 1):
+        monkeypatch.setattr(downsets, "MAX_STORED", cap)
+        want = next(t for t in stored if t > cap)
+        for call in calls:
+            with pytest.raises(CapExceededError, match=f"^{want} stored DP states exceed cap {cap}$"):
+                call()
+    monkeypatch.setattr(downsets, "MAX_STORED", stored[-1])
+    total = downset_marginals(g, x)[0]
+    assert total == count_downsets(g, x) and len(sample_downsets(g, x, random.Random(1), 2)) == 2
+    monkeypatch.setattr(downsets, "MAX_STORED", 0)
+    assert count_downsets(g, x) == total
+
+
 def test_count_antichain_in_one_bag_under_state_cap(monkeypatch):
     # each vertex of an antichain is forgotten as soon as it is inserted, so
     # one bag of 12 never holds more than two states
@@ -208,7 +241,8 @@ def test_count_antichain_in_one_bag_under_state_cap(monkeypatch):
     g = Dag(12, [])
     x = PathDecomposition.of([set(range(1, 13))])
     assert count_downsets(g, x) == 4096
-    steps = downsets._dp(list(range(1, 13)), g.in_adj, g.out_adj)
+    steps, refusal = recorded_dp(list(range(1, 13)), g.in_adj, g.out_adj)
+    assert refusal is None
     sizes = [(v, inserted, len(t)) for v, _vbit, inserted, t in steps]
     assert sizes == [(v, ins, 2 if ins else 1) for v in range(1, 13) for ins in (True, False)]
 
@@ -327,7 +361,6 @@ def test_table_consistency_at_every_prefix():
     # after i bags the table total equals the downset count of the seen part;
     # the DP gets the insert order of the prefix and the adjacency of the
     # seen part alone, so every vertex it knows has been inserted
-    from smposet.downsets import _dp
     from smposet.pathdecomp import _nice_steps
 
     rng = random.Random(137)
@@ -344,20 +377,23 @@ def test_table_consistency_at_every_prefix():
             in_adj = {v: sub.in_adj[v] for v in seen}
             out_adj = {v: sub.out_adj[v] for v in seen}
             order = [v for v, inserted in _nice_steps(prefix, in_adj, out_adj) if inserted]
-            table = {0: 1}
-            for _v, _vbit, _inserted, table in _dp(order, in_adj, out_adj):
-                pass
+            steps, refusal = recorded_dp(order, in_adj, out_adj)
+            table = steps[-1][3] if steps else {0: 1}
+            assert refusal is None
             assert sum(table.values()) == expected
 
 
 def order_dp(bags, in_adj, out_adj):
-    """`_dp` as the public calls run it: over the insert order of the whole
-    walk of the bags, which checks them first."""
-    from smposet import downsets
+    """`recorded_dp` as the public calls run the DP: over the insert order
+    of the whole walk of the bags, which checks them first. Yields its steps,
+    then raises its refusal, if any."""
     from smposet.pathdecomp import _nice_steps
 
     order = [v for v, inserted in _nice_steps(bags, in_adj, out_adj) if inserted]
-    return downsets._dp(order, in_adj, out_adj)
+    steps, refusal = recorded_dp(order, in_adj, out_adj)
+    yield from steps
+    if refusal is not None:
+        raise refusal
 
 
 def _walk_fault(g, bags):
