@@ -1,11 +1,12 @@
 """Counting, exactly uniform sampling, per-vertex marginals and least
 weighted downsets of a DAG, all by one loop, `_run`, over one lazy step plan
 (`_plan`) of an insert order: each insert's slot, the slot masks of its live
-neighbours and the vertices forgotten after it. Each pass gives `_run` an
-insert and a forget. Counting and `_least` (whose least bitmasks per summed
-weight `fairness` scores) forget an insert's vertices in one dict pass;
-`_forward`, for sampling and marginals, forgets one vertex at a time and
-keeps the table before each, for the backward walks.
+neighbours and the vertices forgotten after it. Each insert is one `step`
+that `_run` hands the plan's tuple. Counting (`_step`) and `_least` (whose
+least bitmasks per summed weight `fairness` scores) fuse the insert with its
+forgets in one dict pass; `_forward`, for sampling and marginals, inserts,
+then forgets one vertex at a time and keeps the table before each, for the
+backward walks.
 
 The DP inserts the vertices in the given order and forgets each vertex as
 soon as its last neighbour is inserted, so its tables span only the live
@@ -77,49 +78,52 @@ def _plan(
     masks of more than that many bits.
     """
     width_cap = HARD_WIDTH_CAP
-    slot: dict[int, int] = {}
+    # each live vertex's slot bit, and the free slot bits
+    bit: dict[int, int] = {}
     free: list[int] = []
-    # the number of unseen neighbours of the vertex in each slot
+    # the number of unseen neighbours of the vertex of each slot bit
     left: dict[int, int] = {}
     for v in order:
-        live = len(slot) + 1
+        live = len(bit) + 1
         done = []
         umask = 0
         for u in in_adj[v]:
-            s = slot.get(u)
-            if s is not None:
-                umask |= 1 << s
-                left[s] -= 1
-                if not left[s]:
+            b = bit.get(u)
+            if b is not None:
+                umask |= b
+                k = left[b] - 1
+                left[b] = k
+                if not k:
                     done.append(u)
         wmask = 0
         for w in out_adj[v]:
-            s = slot.get(w)
-            if s is not None:
-                wmask |= 1 << s
-                left[s] -= 1
-                if not left[s]:
+            b = bit.get(w)
+            if b is not None:
+                wmask |= b
+                k = left[b] - 1
+                left[b] = k
+                if not k:
                     done.append(w)
         # the live neighbours hold distinct slots
         unseen = len(in_adj[v]) + len(out_adj[v]) - (umask | wmask).bit_count()
-        s = free.pop() if free else len(slot)
-        left[s] = unseen
-        slot[v] = s
+        vbit = free.pop() if free else 1 << len(bit)
+        left[vbit] = unseen
+        bit[v] = vbit
         if not unseen:
             done.append(v)
         done.sort()
         forgets = {}
         for u in done:
-            s_u = slot.pop(u)
-            free.append(s_u)
-            forgets[u] = 1 << s_u
-        yield live, v, 1 << s, umask, wmask, forgets
+            b = bit.pop(u)
+            free.append(b)
+            forgets[u] = b
+        yield live, v, vbit, umask, wmask, forgets
         if live > width_cap + 1:
             return
 
 
-def _insert(table: dict[int, int], _v: int, vbit: int, umask: int, wmask: int) -> dict[int, int]:
-    """The table after inserting the vertex _v of slot vbit: each state keeps
+def _insert(table: dict[int, int], vbit: int, umask: int, wmask: int) -> dict[int, int]:
+    """The table after inserting the vertex of slot vbit: each state keeps
     its count without it, when none of its live out-neighbours is in, and
     with it, when all of its live in-neighbours are. Slot vbit is free in
     every key, so no two writes meet and no count is copied by adding it to 0.
@@ -133,7 +137,7 @@ def _insert(table: dict[int, int], _v: int, vbit: int, umask: int, wmask: int) -
     return new
 
 
-def _forget(table: dict[int, int], keep: int, _forgets=None) -> dict[int, int]:
+def _forget(table: dict[int, int], keep: int) -> dict[int, int]:
     """The table summed over the slot bits outside keep."""
     new: dict[int, int] = {}
     for a, c in table.items():
@@ -142,17 +146,37 @@ def _forget(table: dict[int, int], keep: int, _forgets=None) -> dict[int, int]:
     return new
 
 
-def _run(order: list[int], in_adj, out_adj, table: dict, insert, forget) -> dict:
+def _step(
+    table: dict[int, int], _v: int, vbit: int, umask: int, wmask: int, forgets: dict[int, int]
+) -> dict[int, int]:
+    """The count's table after one plan tuple: `_insert`, then the sum over
+    the slot bits of forgets, in one pass. The inserted vertex may be one of
+    them; then both writes of a state meet on the same key.
+    """
+    if not forgets:
+        return _insert(table, vbit, umask, wmask)
+    keep = ~sum(forgets.values())
+    vkeep = vbit & keep
+    new: dict[int, int] = {}
+    for a, c in table.items():
+        key = a & keep
+        if not a & wmask:
+            new[key] = new[key] + c if key in new else c
+        if a & umask == umask:
+            key |= vkeep
+            new[key] = new[key] + c if key in new else c
+    return new
+
+
+def _run(order: list[int], in_adj, out_adj, table: dict, step) -> dict:
     """The last table of `_plan` over order from the start table, in the
-    one loop over the plan: per insert, the caps, insert(table, v, vbit,
-    umask, wmask), and one forget(table, keep, forgets) for the vertices
-    forgotten after it, keep masking the other slots and forgets the plan's.
+    one loop over the plan: per insert, the caps, then one
+    step(table, v, vbit, umask, wmask, forgets) for the plan's tuple, which
+    inserts v and forgets the vertices forgotten after it.
     """
     for live, v, vbit, umask, wmask, forgets in _plan(order, in_adj, out_adj):
         _caps(live, len(table))
-        table = insert(table, v, vbit, umask, wmask)
-        if forgets:
-            table = forget(table, ~sum(forgets.values()), forgets)
+        table = step(table, v, vbit, umask, wmask, forgets)
     return table
 
 
@@ -175,7 +199,7 @@ def count_downsets(g: Dag, x: PathDecomposition) -> int:
 
 def _count(g: Dag, order: list[int]) -> int:
     """`count_downsets` over order."""
-    return sum(_run(order, g.in_adj, g.out_adj, {0: 1}, _insert, _forget).values())
+    return sum(_run(order, g.in_adj, g.out_adj, {0: 1}, _step).values())
 
 
 def _least(g: Dag, order: list[int], weights: list[int]) -> dict[int, int]:
@@ -188,25 +212,24 @@ def _least(g: Dag, order: list[int], weights: list[int]) -> dict[int, int]:
     """
     shift = HARD_WIDTH_CAP + 1
 
-    def insert(table, v, vbit, umask, wmask):
-        step, idbit = (weights[v - 1] << shift) + vbit, 1 << (v - 1)
+    def step(table, v, vbit, umask, wmask, forgets):
+        # the insert, and the least value per key once forgets' bits are clear
+        add, idbit = (weights[v - 1] << shift) + vbit, 1 << (v - 1)
+        keep = ~sum(forgets.values())
         new = {}
         for k, b in table.items():
             if not k & wmask:
-                new[k] = b
+                key = k & keep
+                if key not in new or b < new[key]:
+                    new[key] = b
             if k & umask == umask:
-                new[k + step] = b + idbit
+                key = (k + add) & keep
+                b += idbit
+                if key not in new or b < new[key]:
+                    new[key] = b
         return new
 
-    def forget(table, keep, _forgets):
-        new = {}
-        for k, b in table.items():
-            k &= keep
-            if k not in new or b < new[k]:
-                new[k] = b
-        return new
-
-    table = _run(order, g.in_adj, g.out_adj, {0: 0}, insert, forget)
+    table = _run(order, g.in_adj, g.out_adj, {0: 0}, step)
     return {k >> shift: b for k, b in table.items()}
 
 
@@ -221,12 +244,10 @@ def _forward(g: Dag, order: list[int]):
     steps = []
     stored = 0
 
-    def insert(table, v, vbit, umask, wmask):
-        steps.append((v, vbit, True, None))
-        return _insert(table, v, vbit, umask, wmask)
-
-    def forget(table, _keep, forgets):
+    def step(table, v, vbit, umask, wmask, forgets):
         nonlocal stored
+        steps.append((v, vbit, True, None))
+        table = _insert(table, vbit, umask, wmask)
         for u, ubit in forgets.items():
             stored += len(table)
             if stored > MAX_STORED:
@@ -235,7 +256,7 @@ def _forward(g: Dag, order: list[int]):
             table = _forget(table, ~ubit)
         return table
 
-    table = _run(order, g.in_adj, g.out_adj, {0: 1}, insert, forget)
+    table = _run(order, g.in_adj, g.out_adj, {0: 1}, step)
     return steps, sum(table.values())
 
 

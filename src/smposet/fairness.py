@@ -13,7 +13,7 @@ from typing import Optional
 from .errors import CapExceededError, ValidationError
 from .downsets import _count, _least, _marginals, _sample
 from .instance import Instance, Matching, _min_ranks
-from .pathdecomp import _extent_order, _layout_bags
+from .pathdecomp import _extent_order, _separation
 from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
 
@@ -52,7 +52,8 @@ class FairnessScores:
 def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, list[int]]:
     """The rotation digraph of inst, the transitive reduction of its DAG,
     which has the same downsets, and the order the DP inserts the
-    reduction's vertices in; the DP's width is that of its `_layout_bags` cut.
+    reduction's vertices in; the DP's width is the order's vertex separation,
+    `pathdecomp._separation`, the width of its `_layout_bags` cut.
 
     The order is rotation-id order, a linear extension. On a complete
     instance the order of the rotations' extent lower ends, then ids, is
@@ -70,7 +71,7 @@ def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, list[int]]:
         extent = _extent_order(
             dg, _min_ranks(inst.women_prefs, inst.n_men), _min_ranks(inst.men_prefs, inst.n_women)
         )
-        if _layout_bags(g, extent).width < _layout_bags(g, order).width:
+        if _separation(g, extent) < _separation(g, order):
             order = extent
     return dg, g, order
 

@@ -117,7 +117,7 @@ def validate_decomposition(g: Dag, x: PathDecomposition) -> bool:
     bag size plus the edge count, plus sorting each change between bags.
     """
     try:
-        for _step in _nice_steps(x.bags, g.in_adj, g.out_adj):
+        for _ in _nice_steps(x.bags, g.in_adj, g.out_adj):
             pass
     except ValidationError:
         return False
@@ -192,12 +192,7 @@ def _layout_bags(g: Dag, layout: Sequence[int]) -> PathDecomposition:
     separation number of the layout, and the pathwidth of g for the best
     layout (Kinnersley 1992).
     """
-    pos = {v: i for i, v in enumerate(layout)}
-    # the vertices whose last bag is bag i
-    leave: list[list[int]] = [[] for _ in layout]
-    for v, i in pos.items():
-        last = max((pos[u] for u in chain(g.in_adj[v], g.out_adj[v])), default=i)
-        leave[max(i, last)].append(v)
+    leave = _leave(g, layout)
     bags = []
     bag: set[int] = set()
     for i, v in enumerate(layout):
@@ -205,6 +200,31 @@ def _layout_bags(g: Dag, layout: Sequence[int]) -> PathDecomposition:
         bags.append(frozenset(bag))
         bag.difference_update(leave[i])
     return PathDecomposition(tuple(bags))
+
+
+def _separation(g: Dag, order: Sequence[int]) -> int:
+    """The vertex separation of order, an order of all vertices of g: the
+    most vertices alive (as in `_leave`) at any position, less one, and -1
+    for an empty order. It is the width of `_layout_bags(g, order)`, in time
+    O(n + m).
+    """
+    most = gone = 0
+    for i, left in enumerate(_leave(g, order)):
+        most = max(most, i + 1 - gone)
+        gone += len(left)
+    return most - 1
+
+
+def _leave(g: Dag, layout: Sequence[int]) -> list[list[int]]:
+    """Per position i of layout, the vertices last alive there: a vertex is
+    alive from its own position to the last of its neighbours'.
+    """
+    pos = {v: i for i, v in enumerate(layout)}
+    leave: list[list[int]] = [[] for _ in layout]
+    for v, i in pos.items():
+        last = max((pos[u] for u in chain(g.in_adj[v], g.out_adj[v])), default=i)
+        leave[max(i, last)].append(v)
+    return leave
 
 
 def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecomposition]:

@@ -378,8 +378,8 @@ def parent_dp(bags, in_adj, out_adj):
 
 def recorded_dp(order, in_adj, out_adj):
     """The count's DP over an insert order, one step per insert and per
-    forgotten vertex: `downsets._run` with the real `_insert`, and a forget
-    that applies `_forget` once for each vertex the plan forgets. Returns
+    forgotten vertex: `downsets._run` with a step that applies the real
+    `_insert`, then `_forget` once for each vertex the plan forgets. Returns
     the steps (v, vbit, inserted, table), each with the table after it, and
     the CapExceededError that ended the pass, or None.
     """
@@ -387,19 +387,16 @@ def recorded_dp(order, in_adj, out_adj):
 
     steps = []
 
-    def insert(table, v, vbit, umask, wmask):
-        table = downsets._insert(table, v, vbit, umask, wmask)
+    def step(table, v, vbit, umask, wmask, forgets):
+        table = downsets._insert(table, vbit, umask, wmask)
         steps.append((v, vbit, True, table))
-        return table
-
-    def forget(table, _keep, forgets):
         for u, ubit in forgets.items():
             table = downsets._forget(table, ~ubit)
             steps.append((u, ubit, False, table))
         return table
 
     try:
-        downsets._run(order, in_adj, out_adj, {0: 1}, insert, forget)
+        downsets._run(order, in_adj, out_adj, {0: 1}, step)
     except CapExceededError as exc:
         return steps, exc
     return steps, None

@@ -729,3 +729,64 @@ def test_count_dag_relabelled_and_cyclic(workdir, capsys):
     assert run(capsys, "count", "--dag", cyclic, "--decomp", workdir / "band.pd") == (
         2, "", "error: graph contains a cycle\n"
     )
+
+
+def test_count_dag_restores_the_collector(workdir, capsys, monkeypatch):
+    # count --dag pauses the cyclic collector while it reads and counts, and
+    # leaves it as the caller had it, whether the count answers or is refused
+    import gc
+
+    from smposet import downsets
+
+    dag, pd = workdir / "diamond.dag", workdir / "diamond.pd"
+    bad_edge = workdir / "bad_edge.dag"
+    bad_edge.write_text("DAG 4 1\n1 x\n")
+    invalid = workdir / "invalid.pd"
+    invalid.write_text("PD 1\n1 2\n")
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for d, x, code in ((dag, pd, 0), (bad_edge, pd, 2), (dag, invalid, 2)):
+                assert run(capsys, "count", "--dag", d, "--decomp", x)[0] == code
+                assert gc.isenabled() is enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(downsets, "HARD_WIDTH_CAP", 1)
+                assert run(capsys, "count", "--dag", dag, "--decomp", pd) == (
+                    3, "", "cap exceeded: 3 live vertices exceed width cap 1\n"
+                )
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_count_dag_leaves_no_cyclic_garbage(workdir, capsys):
+    # the premise of the collector's pause: what count --dag reads and
+    # counts with is freed by refcounting alone. The collector stays off
+    # around the run, so no collection can hide a cycle before the check.
+    import gc
+
+    n = 2000
+    ladder, ladder_pd = workdir / "ladder.dag", workdir / "ladder.pd"
+    _write_dag(ladder, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(i + 4, n + 1))])
+    ladder_pd.write_text(
+        f"PD {n}\n" + "".join(" ".join(map(str, range(i, min(i + 4, n + 1)))) + "\n"
+                              for i in range(1, n + 1))
+    )
+    was, debug = gc.isenabled(), gc.get_debug()
+    try:
+        for dag, pd, want in (
+            (workdir / "diamond.dag", workdir / "diamond.pd", "6\n"),
+            (ladder, ladder_pd, f"{n + 1}\n"),
+        ):
+            gc.collect()
+            gc.disable()
+            assert run(capsys, "count", "--dag", dag, "--decomp", pd) == (0, want, "")
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            found = gc.collect()
+            gc.set_debug(debug)
+            assert (found, gc.garbage) == (0, [])
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        gc.enable() if was else gc.disable()

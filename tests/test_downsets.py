@@ -268,6 +268,95 @@ def test_least_gives_the_least_bitmask_of_each_weight_sum():
         assert downsets._least(g, order, weights) == want
 
 
+def _slot_index_plan(order, in_adj, out_adj):
+    """`downsets._plan` as it was when it kept live vertices, and their
+    counts of unseen neighbours, by slot index; the reference for the plan
+    keyed by slot bit."""
+    from smposet.downsets import HARD_WIDTH_CAP
+
+    slot: dict[int, int] = {}
+    free: list[int] = []
+    left: dict[int, int] = {}
+    for v in order:
+        live = len(slot) + 1
+        done = []
+        umask = 0
+        for u in in_adj[v]:
+            s = slot.get(u)
+            if s is not None:
+                umask |= 1 << s
+                left[s] -= 1
+                if not left[s]:
+                    done.append(u)
+        wmask = 0
+        for w in out_adj[v]:
+            s = slot.get(w)
+            if s is not None:
+                wmask |= 1 << s
+                left[s] -= 1
+                if not left[s]:
+                    done.append(w)
+        unseen = len(in_adj[v]) + len(out_adj[v]) - (umask | wmask).bit_count()
+        s = free.pop() if free else len(slot)
+        left[s] = unseen
+        slot[v] = s
+        if not unseen:
+            done.append(v)
+        done.sort()
+        forgets = {}
+        for u in done:
+            s_u = slot.pop(u)
+            free.append(s_u)
+            forgets[u] = 1 << s_u
+        yield live, v, 1 << s, umask, wmask, forgets
+        if live > HARD_WIDTH_CAP + 1:
+            return
+
+
+def test_fused_steps_match_the_split_steps_and_the_oracles():
+    # the count's and `_least`'s one-pass steps against a pass that inserts
+    # and then forgets one vertex at a time, and against every downset, on
+    # shuffled orders in which some inserts forget two or more vertices and
+    # some forget their own vertex (isolated vertices, and vertices inserted
+    # after all their neighbours)
+    from smposet import downsets
+
+    rng = random.Random(433)
+    forgot_many = forgot_own = 0
+    for _ in range(300):
+        g = random_dag(rng, rng.randint(0, 10), rng.choice([0.0, 0.15, 0.3, 0.6]))
+        order = list(g.vertices())
+        rng.shuffle(order)
+        plan = list(downsets._plan(order, g.in_adj, g.out_adj))
+        assert plan == list(_slot_index_plan(order, g.in_adj, g.out_adj))
+        forgot_many += sum(len(forgets) >= 2 for *_head, forgets in plan)
+        forgot_own += sum(v in forgets for _live, v, *_masks, forgets in plan)
+        downs = enumerate_downsets_bruteforce(g)
+        steps, refusal = recorded_dp(order, g.in_adj, g.out_adj)
+        assert refusal is None
+        split = sum(steps[-1][3].values()) if steps else 1
+        assert downsets._count(g, order) == split == len(downs)
+        weights = [rng.choice([0, rng.randint(1, 3), 1 << 40]) for _ in range(g.p)]
+        want: dict[int, int] = {}
+        for z in downs:
+            w, b = sum(weights[v - 1] for v in z), sum(1 << (v - 1) for v in z)
+            want[w] = min(b, want.get(w, b))
+        assert downsets._least(g, order, weights) == want
+    assert forgot_many and forgot_own
+
+
+def test_plan_keyed_by_slot_bit_yields_the_slot_index_plan_on_a_ladder():
+    from smposet import downsets
+
+    n = 2000
+    g = Dag(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(i + 4, n + 1))])
+    order = list(g.vertices())
+    plan = list(downsets._plan(order, g.in_adj, g.out_adj))
+    assert plan == list(_slot_index_plan(order, g.in_adj, g.out_adj))
+    assert max(live for live, *_rest in plan) == 4
+    assert downsets._count(g, order) == n + 1
+
+
 def test_descendants_chain():
     g = Dag(3, [(1, 2), (2, 3)])
     assert reachable_from(g, 1) == {1, 2, 3}

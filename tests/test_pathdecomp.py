@@ -23,7 +23,7 @@ from smposet import (
 )
 from smposet.instance import Instance
 from smposet.fairness import _prepare
-from smposet.pathdecomp import _extent_order, _layout_bags
+from smposet.pathdecomp import _extent_order, _layout_bags, _separation
 
 from conftest import (
     corrupt_bags,
@@ -311,6 +311,22 @@ def test_layout_bags_match_reference():
         x = _layout_bags(g, layout)
         assert list(x.bags) == _layout_bags_reference(g, layout)
         assert validate_by_rescan(g, x)
+
+
+def test_separation_is_the_layout_cut_width():
+    rng = random.Random(173)
+    sizes, densities = set(), set()
+    for _ in range(600):
+        p = rng.randint(0, 14)
+        q = rng.choice([0.0, 0.1, 0.3, 0.6])
+        g = random_dag(rng, p, q)
+        order = list(g.vertices())
+        rng.shuffle(order)
+        assert _separation(g, order) == _layout_bags(g, order).width
+        sizes.add(p)
+        densities.add(q)
+    assert 0 in sizes and 0.0 in densities
+    assert _separation(Dag(0, []), []) == -1
 
 
 def test_extent_order_cut_no_wider_than_extent_bags():
