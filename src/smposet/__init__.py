@@ -25,33 +25,21 @@ from .rotations import (
     RULE_2,
     Rotation,
     RotationDigraph,
-    all_stable_matchings_bruteforce,
-    downset_from_matching,
-    eliminate,
-    exposed_rotations,
     matching_from_downset,
     rotation_digraph,
 )
 from .posets import (
     Dag,
     check_realization,
-    enumerate_downsets_bruteforce,
     format_dag,
-    is_downset,
     parse_dag,
-    poset_isomorphic_small,
     transitive_closure,
     transitive_reduction,
 )
 from .pathdecomp import (
-    Extent,
     PathDecomposition,
-    construct_path_decomposition,
-    extent_of,
     format_decomposition,
     parse_decomposition,
-    pathwidth_exact_tiny,
-    to_nice,
     validate_decomposition,
 )
 from .downsets import (
@@ -66,7 +54,6 @@ from .realize import (
     ListRealization,
     bitonic_sequence,
     construct_instance,
-    evaluate_profiles,
     realize_attr6,
     realize_bounded3,
     realize_complete,
@@ -75,12 +62,27 @@ from .realize import (
 )
 from .fairness import (
     FairnessScores,
-    balanced_bruteforce,
     count_stable_matchings,
     median_and_count,
     median_stable_matching,
     sample_stable_matchings,
+)
+from .oracles import (
+    Extent,
+    all_stable_matchings_bruteforce,
+    balanced_bruteforce,
+    construct_path_decomposition,
+    downset_from_matching,
+    eliminate,
+    enumerate_downsets_bruteforce,
+    evaluate_profiles,
+    exposed_rotations,
+    extent_of,
+    is_downset,
+    pathwidth_exact_tiny,
+    poset_isomorphic_small,
     sex_equal_bruteforce,
+    to_nice,
 )
 
 # the submodules are bound here by the imports above, but are not exported

@@ -21,20 +21,9 @@ from .instance import (
     format_instance,
     parse_instance,
 )
-from .posets import (
-    Dag,
-    check_realization,
-    enumerate_downsets_bruteforce,
-    parse_dag,
-)
-from .pathdecomp import (
-    _separation,
-    format_decomposition,
-    parse_decomposition,
-    pathwidth_exact_tiny,
-)
+from .posets import Dag, check_realization, parse_dag
+from .pathdecomp import _separation, format_decomposition, parse_decomposition
 from .downsets import count_downsets
-from .rotations import all_stable_matchings_bruteforce
 from .fairness import (
     _optimize,
     _prepare,
@@ -49,6 +38,11 @@ from .realize import (
     realize_list2inf,
     realize_range,
     construct_instance,
+)
+from .oracles import (
+    all_stable_matchings_bruteforce,
+    enumerate_downsets_bruteforce,
+    pathwidth_exact_tiny,
 )
 
 

@@ -1,24 +1,20 @@
 """Instance-level counting, exact uniform sampling, median stable matchings,
 and exact sex-equal / balanced stable matchings (`_optimize`, which scores
 what `downsets._least` finds), all by the downset DP over the order of
-`_prepare`, with no bags. The brute-force optimizers, which list every
-stable matching and break ties as the DP does, are kept as oracles.
+`_prepare`, with no bags.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
-from .errors import CapExceededError, ValidationError
+from .errors import ValidationError
 from .downsets import _count, _least, _marginals, _sample
 from .instance import Instance, Matching, _min_ranks
-from .pathdecomp import _extent_order, _separation
-from .posets import Dag, enumerate_downsets_bruteforce, transitive_reduction
+from .pathdecomp import _separation
+from .posets import Dag, transitive_reduction
 from .rotations import RotationDigraph, matching_from_downset, rotation_digraph
-
-# the brute-force optimizers list every stable matching, so they refuse more than this
-MAX_MATCHINGS = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,18 @@ class FairnessScores:
         return FairnessScores(
             s_men, s_women, abs(s_men - s_women), max(s_men, s_women)
         )
+
+
+def _extent_order(
+    dg: RotationDigraph, orank_men: Sequence[int], orank_women: Sequence[int]
+) -> list[int]:
+    """The DAG vertices of dg (rotation id + 1) ordered by the lower end of
+    their rotation's extent, then by id. That lower end is the least minrank
+    of the rotation's agents less 2k-1, the same shift for every rotation,
+    so the order needs only the minranks.
+    """
+    lo = [min(min(orank_men[m], orank_women[w]) for m, w in rho.pairs) for rho in dg.rotations]
+    return sorted(range(1, len(lo) + 1), key=lambda v: (lo[v - 1], v))
 
 
 def _prepare(inst: Instance) -> tuple[RotationDigraph, Dag, list[int]]:
@@ -160,36 +168,3 @@ def _optimize(inst: Instance, key_name: str) -> tuple[Matching, FairnessScores]:
     _t, least = min((score(t), b) for t, b in _least(g, order, weights).items())
     mu = matching_from_downset(inst, dg, [i for i in range(len(dg.rotations)) if least >> i & 1])
     return mu, FairnessScores.of(inst, mu)
-
-
-def _bruteforce(inst: Instance, key_name: str):
-    # count first: listing 2^p downsets would never return
-    dg, g, order = _prepare(inst)
-    total = _count(g, order)
-    if total > MAX_MATCHINGS:
-        raise CapExceededError(f"{total} stable matchings exceed cap {MAX_MATCHINGS}")
-    best: Optional[tuple] = None
-    for zs in enumerate_downsets_bruteforce(g, max_p=g.p):
-        mu = matching_from_downset(inst, dg, [v - 1 for v in zs])
-        scores = FairnessScores.of(inst, mu)
-        key = (getattr(scores, key_name), sum(1 << (v - 1) for v in zs))
-        if best is None or key < best[0]:
-            best = (key, mu, scores)
-    assert best is not None
-    return best[1], best[2]
-
-
-def sex_equal_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
-    """Stable matching minimizing |S_M - S_W| by enumerating all downsets;
-    ties go to the downset of least rotation-id bitmask, sum of 2^id, as in
-    the DP. Raises CapExceededError, before listing any, if there are more
-    than MAX_MATCHINGS.
-    """
-    return _bruteforce(inst, "delta")
-
-
-def balanced_bruteforce(inst: Instance) -> tuple[Matching, FairnessScores]:
-    """Stable matching minimizing max(S_M, S_W), same search, tie rule and
-    cap as sex-equal.
-    """
-    return _bruteforce(inst, "beta")

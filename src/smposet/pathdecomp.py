@@ -1,12 +1,11 @@
-"""Path decompositions: validation, nice form, the extent-based
-decomposition of rotation digraphs, an exact pathwidth solver for tiny
-graphs, and the file format, whose comments and header follow `_text`.
+"""Path decompositions: validation, the vertex separation of a layout,
+and the file format, whose comments and header follow `_text`.
 
 `_nice_steps` is the one place that expands a bag sequence into nice steps
 and decides whether it is valid for a graph. It only checks: it yields each
 step's vertex and whether it is inserted, and keeps no DP bookkeeping.
-Validation, nice form, `realize_range` and the public downset calls walk
-its steps. The instance ops walk no bags: they hand the DP an order.
+Validation, `realize_range` and the public downset calls walk its steps.
+The instance ops walk no bags: they hand the DP an order.
 """
 from __future__ import annotations
 
@@ -15,10 +14,8 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from . import _text
-from .errors import CapExceededError, ParseError, ValidationError
-from .instance import Instance, compute_range, RangeProfile
+from .errors import ParseError, ValidationError
 from .posets import Dag
-from .rotations import Rotation, RotationDigraph, rotation_digraph
 
 
 @dataclass(frozen=True)
@@ -124,67 +121,6 @@ def validate_decomposition(g: Dag, x: PathDecomposition) -> bool:
     return True
 
 
-def to_nice(g: Dag, x: PathDecomposition) -> PathDecomposition:
-    """Nice decomposition of equal width and length exactly 2n: the bag
-    after each step of `_nice_steps`. Raises ValidationError unless x is
-    valid for g.
-    """
-    bags = []
-    bag: frozenset[int] = frozenset()
-    for v, inserted in _nice_steps(x.bags, g.in_adj, g.out_adj):
-        bag = bag | {v} if inserted else bag - {v}
-        bags.append(bag)
-    return PathDecomposition(tuple(bags))
-
-
-@dataclass(frozen=True)
-class Extent:
-    """Closed interval of minranks covered by a rotation, padded by 2k-1."""
-
-    lo: int
-    hi: int
-
-
-def extent_of(rho: Rotation, profile: RangeProfile) -> Extent:
-    ranks = [profile.orank_men[m] for m in rho.men()]
-    ranks += [profile.orank_women[w] for w in rho.women()]
-    k = profile.k
-    return Extent(min(ranks) - 2 * k + 1, max(ranks) + 2 * k - 1)
-
-
-def construct_path_decomposition(
-    inst: Instance,
-) -> tuple[RotationDigraph, PathDecomposition]:
-    """Rotation digraph of a complete instance plus a nice path decomposition
-    of it built from rotation extents; width is at most 50 k^2 for k the range.
-    The instance ops run on the narrower cut of `fairness._prepare`; this is
-    the paper's decomposition, kept as an oracle for that cut.
-
-    Bags contain rotation ids shifted by +1, matching RotationDigraph.dag().
-    """
-    dg = rotation_digraph(inst)
-    profile = compute_range(inst)
-    exts = [extent_of(rho, profile) for rho in dg.rotations]
-    # bag i holds the rotations whose extent covers minrank i
-    bags = [
-        [rho.id + 1 for rho, e in zip(dg.rotations, exts) if e.lo <= i <= e.hi]
-        for i in range(1, max(inst.n_men, inst.n_women) + 1)
-    ]
-    return dg, to_nice(dg.dag(), PathDecomposition.of(bags))
-
-
-def _extent_order(
-    dg: RotationDigraph, orank_men: Sequence[int], orank_women: Sequence[int]
-) -> list[int]:
-    """The DAG vertices of dg (rotation id + 1) ordered by the lower end of
-    their rotation's extent, then by id. That lower end is the least minrank
-    of the rotation's agents less 2k-1, the same shift for every rotation,
-    so the order needs only the minranks.
-    """
-    lo = [min(min(orank_men[m], orank_women[w]) for m, w in rho.pairs) for rho in dg.rotations]
-    return sorted(range(1, len(lo) + 1), key=lambda v: (lo[v - 1], v))
-
-
 def _layout_bags(g: Dag, layout: Sequence[int]) -> PathDecomposition:
     """The vertex-separation decomposition of g along layout, an order of
     all its vertices: bag i holds the i-th vertex and every earlier vertex
@@ -225,63 +161,6 @@ def _leave(g: Dag, layout: Sequence[int]) -> list[list[int]]:
         last = max((pos[u] for u in chain(g.in_adj[v], g.out_adj[v])), default=i)
         leave[max(i, last)].append(v)
     return leave
-
-
-def pathwidth_exact_tiny(g: Dag, max_p: int = 10) -> tuple[int, PathDecomposition]:
-    """Optimal pathwidth via the vertex separation number, by dynamic
-    programming over vertex subsets. Exhaustive; capped.
-    """
-    if g.p > max_p:
-        raise CapExceededError(f"{g.p} vertices exceeds cap {max_p}")
-    p = g.p
-    if p == 0:
-        return -1, PathDecomposition(())
-    nbr = [0] * (p + 1)
-    for u, v in g.edges:
-        nbr[u] |= 1 << (v - 1)
-        nbr[v] |= 1 << (u - 1)
-    full = (1 << p) - 1
-
-    def cost(mask: int) -> int:
-        # vertices inside mask with a neighbor outside it
-        c = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            v = low.bit_length()
-            if nbr[v] & ~mask & full:
-                c += 1
-            rest ^= low
-        return c
-
-    INF = p + 1
-    f = [INF] * (1 << p)
-    choice = [0] * (1 << p)
-    f[0] = 0
-    for mask in range(1, 1 << p):
-        cm = cost(mask)
-        best, who = INF, 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            cand = f[mask ^ low]
-            if cand < best:
-                best, who = cand, low
-            rest ^= low
-        f[mask] = max(best, cm)
-        choice[mask] = who
-    layout = []
-    mask = full
-    while mask:
-        low = choice[mask]
-        layout.append(low.bit_length())
-        mask ^= low
-    layout.reverse()
-    x = _layout_bags(g, layout)
-    if not validate_decomposition(g, x):
-        raise ValidationError("internal error: layout decomposition invalid")
-    assert x.width == f[full]
-    return f[full], x
 
 
 def parse_decomposition(text: str) -> PathDecomposition:

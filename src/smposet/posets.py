@@ -1,5 +1,5 @@
-"""DAGs standing for posets: closure, reduction, downsets, isomorphism, and
-verification that a constructed instance realizes a poset.
+"""DAGs standing for posets: closure, reduction, and verification that a
+constructed instance realizes a poset.
 
 Vertices are 1..p throughout, matching the file format, whose comments,
 blank lines and header follow `_text`.
@@ -14,7 +14,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterable, Mapping, Optional
 
 from . import _text
-from .errors import CapExceededError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 
 def _repeats(edges: list[tuple[int, int]]) -> bool:
@@ -196,86 +196,6 @@ def transitive_closure(g: Dag) -> Dag:
 def transitive_reduction(g: Dag) -> Dag:
     """The unique minimal edge set with the same closure (unique for DAGs)."""
     return Dag(g.p, _reach(g)[1])
-
-
-def is_downset(g: Dag, zs: Iterable[int]) -> bool:
-    """True when zs is ancestor-closed in g."""
-    z = set(zs)
-    if not z <= set(g.vertices()):
-        return False
-    return all(u in z for v in z for u in g.in_adj[v])
-
-
-def enumerate_downsets_bruteforce(g: Dag, max_p: int = 20) -> list[frozenset[int]]:
-    """All downsets, by DFS over the downset lattice. Oracle-grade; the cap
-    guards against runaway output since there can be 2^p downsets.
-    """
-    if g.p > max_p:
-        raise CapExceededError(f"{g.p} vertices exceeds cap {max_p}")
-    start: frozenset[int] = frozenset()
-    seen = {start}
-    stack = [start]
-    while stack:
-        z = stack.pop()
-        for v in g.vertices():
-            if v in z:
-                continue
-            if all(u in z for u in g.in_adj[v]):
-                nz = z | {v}
-                if nz not in seen:
-                    seen.add(nz)
-                    stack.append(nz)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def poset_isomorphic_small(p_dag: Dag, q_dag: Dag, max_p: int = 10) -> bool:
-    """Closure isomorphism test by backtracking with degree/level pruning."""
-    if p_dag.p > max_p or q_dag.p > max_p:
-        raise CapExceededError(f"isomorphism test capped at {max_p} vertices")
-    if p_dag.p != q_dag.p:
-        return False
-    a = transitive_closure(p_dag)
-    b = transitive_closure(q_dag)
-    if len(a.edges) != len(b.edges):
-        return False
-
-    def signature(g: Dag) -> dict[int, tuple[int, int]]:
-        return {v: (len(g.in_adj[v]), len(g.out_adj[v])) for v in g.vertices()}
-
-    siga, sigb = signature(a), signature(b)
-    if sorted(siga.values()) != sorted(sigb.values()):
-        return False
-    verts_a = sorted(a.vertices(), key=lambda v: siga[v])
-    candidates = {v: [w for w in b.vertices() if sigb[w] == siga[v]] for v in verts_a}
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(verts_a):
-            return True
-        v = verts_a[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for v2, w2 in mapping.items():
-                if ((v, v2) in a.edges) != ((w, w2) in b.edges):
-                    ok = False
-                    break
-                if ((v2, v) in a.edges) != ((w2, w) in b.edges):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return extend(0)
 
 
 _LABEL_RE = re.compile(r"^m\[(\d+),(\d+)\]$")

@@ -6,11 +6,11 @@ man and one woman per color at that vertex, and one enforcement pair per
 edge. Choosing the coloring specializes the output: all-one colors give a
 complete instance of size 2p, pairwise-distinct colors give 3-bounded lists,
 per-source colors give two master lists, and path decomposition indices give
-bounded range.
+bounded range. The oracle that ranks attr6's printed profiles,
+`evaluate_profiles`, is in `oracles`.
 """
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -203,7 +203,7 @@ def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> tuple[tu
     """Each agent's ranking of the moment-curve points t = 1..n by descending
     value of the functional with that agent's scaled roots A: by ascending
     |prod (D t - A)|, with D = 4n^4, as a permutation of range(n). Raises on
-    a tie, as evaluate_profiles does.
+    a tie, as `oracles.evaluate_profiles` does.
     """
     d = 4 * n**4
     dts = [d * t for t in range(1, n + 1)]
@@ -215,49 +215,6 @@ def _rank_by_roots(roots: Sequence[Sequence[int]], n: int, who: str) -> tuple[tu
             raise ValidationError(f"tie in {who} {i}'s ranking")
         out.append(tuple(sorted(range(len(vals)), key=vals.__getitem__)))
     return tuple(out)
-
-
-def evaluate_profiles(
-    men_profiles: Sequence[AttributeProfile],
-    women_profiles: Sequence[AttributeProfile],
-    men_labels: Optional[Sequence[str]] = None,
-    women_labels: Optional[Sequence[str]] = None,
-) -> Instance:
-    """Complete instance ranked by descending functional value, with exact
-    rational comparison. Raises on any tie, which would make preferences
-    non-strict.
-
-    Scores are integers: each weight vector is scaled by the LCM of its
-    denominators, and each side's points by the LCM of theirs. Both factors
-    are positive, and the constant adds the same to every score of a ranking,
-    so the order and the ties are those of the rational values.
-
-    This ranks any profiles. realize_attr6 does not call it, since it ranks
-    from the roots of its functionals; the tests use it as the oracle that
-    those rankings equal the ones the printed profiles give.
-    """
-
-    def integer_rows(rows) -> list[list[int]]:
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        return [[int(x * scale) for x in row] for row in rows]
-
-    def rank(profile: AttributeProfile, points: list[list[int]], who: str):
-        (weights,) = integer_rows([profile.weights])
-        scored = sorted(
-            ((sum(map(operator.mul, weights, pt)), i) for i, pt in enumerate(points)),
-            key=lambda t: t[0],
-            reverse=True,
-        )
-        for (va, _), (vb, _) in zip(scored, scored[1:]):
-            if va == vb:
-                raise ValidationError(f"tie in {who}'s ranking")
-        return [i for _, i in scored]
-
-    w_points = integer_rows([p.point for p in women_profiles])
-    m_points = integer_rows([p.point for p in men_profiles])
-    men_prefs = [rank(p, w_points, f"man {i}") for i, p in enumerate(men_profiles)]
-    women_prefs = [rank(p, m_points, f"woman {i}") for i, p in enumerate(women_profiles)]
-    return Instance(men_prefs, women_prefs, men_labels, women_labels)
 
 
 @dataclass(frozen=True)
@@ -278,8 +235,8 @@ def realize_attr6(h: Dag) -> AttrRealization:
     padded list, so each list is ranked from the roots alone: at D = 4n^4
     every root scales to an integer D r, and the points order by ascending
     |prod (D t - D r)|, with no functional evaluated. The profiles carry the
-    same functionals as exact rationals, and evaluate_profiles gives the
-    same lists from them.
+    same functionals as exact rationals, and `oracles.evaluate_profiles`
+    gives the same lists from them.
     """
     base = realize_bounded3(h)
     n = base.n_men
@@ -403,8 +360,8 @@ def realize_range(h: Dag, x: PathDecomposition) -> Instance:
     ValidationError "decomposition is not valid for the poset" for any other
     bag sequence.
 
-    Colors are bag indices of the nice form of x (`to_nice`), whose bag i
-    follows step i of `_nice_steps`: an edge gets the first bag holding both
+    Colors are bag indices of the nice form of x, whose bag i follows step i
+    of `_nice_steps`, as `oracles.to_nice` builds it: an edge gets the first bag holding both
     ends, a vertex the interval [a_v, b_v + 1] of its bag range, ordered
     bitonically. Lists are completed outward in whole blocks.
     """

@@ -1,6 +1,6 @@
-"""Rotations of a stable matching instance: extraction, elimination, the
-rotation digraph built from Gusfield's two edge rules, and the bijection
-between downsets of the digraph and stable matchings.
+"""Rotations of a stable matching instance: the rotation digraph, built
+from Gusfield's two edge rules as the rotations are found, and the stable
+matching of each of its downsets.
 """
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import CapExceededError, ValidationError
-from .instance import MAN, Instance, Matching, blocking_pairs, gale_shapley
+from .errors import ValidationError
+from .instance import MAN, Instance, Matching, gale_shapley
 from .posets import Dag
 
 RULE_1 = 1
@@ -77,76 +77,6 @@ class RotationDigraph:
             out.append(f'  r{a} -> r{b} [label="rule={tag}"];')
         out.append("}")
         return "\n".join(out) + "\n"
-
-
-def _successor(inst: Instance, mu: Matching, m: int) -> Optional[tuple[int, int]]:
-    """For matched man m: the first woman after his partner who prefers him to
-    her own partner, together with that partner. None when there is no such
-    woman or she is unmatched: she would take him over staying single, so he
-    can never move past her.
-    """
-    w = mu.woman_of(m)
-    if w is None:
-        return None
-    prefs = inst.men_prefs[m]
-    for w2 in prefs[inst.men_rank[m][w] :]:
-        p2 = mu.man_of(w2)
-        if p2 is None:
-            return None
-        if inst.women_rank[w2][m] < inst.women_rank[w2][p2]:
-            return w2, p2
-    return None
-
-
-def exposed_rotations(inst: Instance, mu: Matching, _skip_check: bool = False) -> list[Rotation]:
-    """All rotations exposed in the stable matching mu, canonical, sorted by
-    first man index. Ids are -1; real ids are assigned by rotation_digraph.
-    """
-    if not _skip_check and blocking_pairs(inst, mu):
-        raise ValidationError("matching is not stable")
-    nxt: dict[int, int] = {}
-    for m, _w in sorted(mu.pairs):
-        succ = _successor(inst, mu, m)
-        if succ is not None:
-            nxt[m] = succ[1]
-    rotations = []
-    state: dict[int, int] = {}  # 0 in progress marker slot; None unvisited; 1 done
-    for m0 in sorted(nxt):
-        if m0 in state:
-            continue
-        path = []
-        pos: dict[int, int] = {}
-        m = m0
-        while m in nxt and m not in state and m not in pos:
-            pos[m] = len(path)
-            path.append(m)
-            m = nxt[m]
-        if m in pos:  # found a new cycle
-            cycle = path[pos[m] :]
-            pairs = [(x, mu.woman_of(x)) for x in cycle]
-            rotations.append(Rotation.canonical(pairs))
-        for x in path:
-            state[x] = 1
-    rotations.sort(key=lambda r: r.pairs[0][0])
-    return rotations
-
-
-def eliminate(inst: Instance, mu: Matching, rho: Rotation) -> Matching:
-    """Eliminate an exposed rotation: rematch each listed man to the next
-    pair's woman. Raises when rho is not exposed in mu.
-    """
-    n = len(rho.pairs)
-    for i, (m, w) in enumerate(rho.pairs):
-        if mu.woman_of(m) != w:
-            raise ValidationError("rotation is not exposed in this matching")
-        succ = _successor(inst, mu, m)
-        w_next = rho.pairs[(i + 1) % n][1]
-        if succ is None or succ[0] != w_next:
-            raise ValidationError("rotation is not exposed in this matching")
-    moved = {m: rho.pairs[(i + 1) % n][1] for i, (m, _) in enumerate(rho.pairs)}
-    pairs = [(m, w) for m, w in mu.pairs if m not in moved]
-    pairs += list(moved.items())
-    return Matching(pairs)
 
 
 def rotation_digraph(inst: Instance) -> RotationDigraph:
@@ -302,47 +232,3 @@ def matching_from_downset(inst: Instance, dg: RotationDigraph, zs: Iterable[int]
         for i, (m, _w) in enumerate(pairs):
             woman_of[m] = pairs[(i + 1) % n][1]
     return Matching(woman_of.items())
-
-
-def downset_from_matching(inst: Instance, dg: RotationDigraph, mu: Matching) -> frozenset[int]:
-    """The downset of rotations whose elimination from the man-optimal
-    matching produces the stable matching mu; inverse of matching_from_downset.
-    """
-    if blocking_pairs(inst, mu):
-        raise ValidationError("matching is not stable")
-    z = set()
-    for rho in dg.rotations:
-        votes = set()
-        for m, w in rho.pairs:
-            cur = mu.woman_of(m)
-            if cur is None:
-                raise ValidationError("matching leaves a rotation member unmatched")
-            votes.add(inst.men_rank[m][cur] > inst.men_rank[m][w])
-        if len(votes) != 1:
-            raise ValidationError("matching is inconsistent with the rotation structure")
-        if votes.pop():
-            z.add(rho.id)
-    if matching_from_downset(inst, dg, z) != mu:
-        raise ValidationError("matching does not correspond to any downset")
-    return frozenset(z)
-
-
-def all_stable_matchings_bruteforce(inst: Instance, max_size: int = 8) -> list[Matching]:
-    """Every stable matching, found by DFS over exposed-rotation eliminations
-    starting from the man-optimal matching. Oracle for the counting routines.
-    """
-    if max(inst.n_men, inst.n_women) > max_size:
-        raise CapExceededError(
-            f"instance size {max(inst.n_men, inst.n_women)} exceeds cap {max_size}"
-        )
-    mu0 = gale_shapley(inst, MAN)
-    seen = {mu0}
-    stack = [mu0]
-    while stack:
-        mu = stack.pop()
-        for rho in exposed_rotations(inst, mu, _skip_check=True):
-            nxt = eliminate(inst, mu, rho)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return sorted(seen, key=lambda m: m.sorted_pairs())

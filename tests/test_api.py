@@ -28,6 +28,19 @@ PUBLIC = {
 }
 
 
+def _names(node) -> set[str]:
+    """Every name, attribute and imported name used under node."""
+    named = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            named.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            named.add(n.attr)
+        elif isinstance(n, ast.alias):
+            named.add(n.name)
+    return named
+
+
 def test_public_names():
     assert set(smposet.__all__) == PUBLIC
     namespace: dict = {}
@@ -47,14 +60,7 @@ def test_dp_internals_stay_in_downsets():
     modules = sorted(m for m in src.glob("*.py") if m.name != "downsets.py")
     assert len(modules) > 5
     for module in modules:
-        named = set()
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+        named = _names(ast.parse(module.read_text(encoding="utf-8")))
         assert not named & internal, (module.name, sorted(named & internal))
     # inside `downsets`, one loop walks the plan: `_plan` is named in the
     # body of `_run` and of no other function, nor outside a function
@@ -69,3 +75,63 @@ def test_dp_internals_stay_in_downsets():
     assert walkers == ["_run"], walkers
     run = next(f for f in tree.body if getattr(f, "name", None) == "_run")
     assert names_plan(tree) == names_plan(run)
+
+
+# the oracle-only names: each is defined in `oracles` and in no other module
+ORACLES = {
+    "_successor", "exposed_rotations", "eliminate", "downset_from_matching",
+    "all_stable_matchings_bruteforce", "enumerate_downsets_bruteforce", "is_downset",
+    "poset_isomorphic_small", "to_nice", "Extent", "extent_of",
+    "construct_path_decomposition", "pathwidth_exact_tiny", "MAX_MATCHINGS",
+    "_bruteforce", "sex_equal_bruteforce", "balanced_bruteforce", "evaluate_profiles",
+}
+
+
+def _defines(tree) -> set[str]:
+    """The classes and functions defined anywhere in tree, and the names
+    bound at its top level.
+    """
+    out = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _imports_oracles(tree) -> bool:
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            if (n.module or "").split(".")[-1] == "oracles":
+                return True
+            if any(a.name == "oracles" for a in n.names):
+                return True
+        elif isinstance(n, ast.Import) and any(a.name.endswith("oracles") for a in n.names):
+            return True
+    return False
+
+
+def test_oracles_stay_in_oracles():
+    # the brute-force oracles live in `oracles`, which only the package
+    # namespace and the CLI's `oracle` command import; the fast modules
+    # define none of them, and the oracles reach the DP through public calls
+    src = Path(smposet.__file__).parent
+    trees = {m.name: ast.parse(m.read_text(encoding="utf-8")) for m in src.glob("*.py")}
+    assert "oracles.py" in trees
+    oracles = trees.pop("oracles.py")
+    assert ORACLES <= _defines(oracles), sorted(ORACLES - _defines(oracles))
+    for name, tree in sorted(trees.items()):
+        if name not in ("cli.py", "__init__.py"):
+            assert not _imports_oracles(tree), name
+        assert not ORACLES & _defines(tree), (name, sorted(ORACLES & _defines(tree)))
+    for node in ast.walk(oracles):
+        if isinstance(node, ast.ImportFrom) and node.module in ("downsets", "fairness"):
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, (node.module, private)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("downsets", "fairness"):
+                assert not node.attr.startswith("_"), (node.value.id, node.attr)
+    # the fair brute force takes only the refusal count from the DP
+    bodies = {f.name: f for f in oracles.body if isinstance(f, ast.FunctionDef)}
+    for fn in ("_bruteforce", "sex_equal_bruteforce", "balanced_bruteforce"):
+        pipeline = _names(bodies[fn]) & {"_prepare", "_count", "enumerate_downsets_bruteforce"}
+        assert not pipeline, (fn, sorted(pipeline))

@@ -39,9 +39,9 @@ from smposet import (
     to_nice,
     validate_decomposition,
 )
-from smposet.fairness import _optimize, _prepare
+from smposet.fairness import _extent_order, _optimize, _prepare
 from smposet.instance import _min_ranks
-from smposet.pathdecomp import _extent_order, _layout_bags
+from smposet.pathdecomp import _layout_bags
 
 from conftest import (
     band_poset,
@@ -281,9 +281,9 @@ def test_fair_matches_exhaustive_scan():
 
 def test_fair_cap(monkeypatch):
     # an antichain of 5 rotations has 2^5 downsets
-    from smposet import fairness
+    from smposet import oracles
 
-    monkeypatch.setattr(fairness, "MAX_MATCHINGS", 10)
+    monkeypatch.setattr(oracles, "MAX_MATCHINGS", 10)
     inst = realize_complete(Dag(5, []))
     with pytest.raises(CapExceededError, match="^32 stable matchings exceed cap 10$"):
         sex_equal_bruteforce(inst)
@@ -291,12 +291,12 @@ def test_fair_cap(monkeypatch):
 
 def test_fair_cap_fires_before_listing(monkeypatch):
     # 2^40 downsets: the DP counts them, and none is ever listed
-    from smposet import fairness
+    from smposet import oracles
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("downsets listed before the cap check")
 
-    monkeypatch.setattr(fairness, "enumerate_downsets_bruteforce", refuse)
+    monkeypatch.setattr(oracles, "_stable_matchings", refuse)
     inst = realize_complete(Dag(40, []))
     for optimize in (sex_equal_bruteforce, balanced_bruteforce):
         with pytest.raises(

@@ -22,8 +22,8 @@ from smposet import (
     validate_decomposition,
 )
 from smposet.instance import Instance
-from smposet.fairness import _prepare
-from smposet.pathdecomp import _extent_order, _layout_bags, _separation
+from smposet.fairness import _extent_order, _prepare
+from smposet.pathdecomp import _layout_bags, _separation
 
 from conftest import (
     corrupt_bags,

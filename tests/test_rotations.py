@@ -72,9 +72,20 @@ def test_exposed_in_mu2(example_instance):
     assert [r.pairs for r in rots] == [((0, 1), (2, 3))]
 
 
-def test_exposed_requires_stability(example_instance):
+def test_exposed_requires_stability(example_instance, monkeypatch):
+    # the public call takes no flag that skips the check, and refuses an
+    # unstable matching before the search runs
+    import inspect
+
+    from smposet import oracles
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("searched an unstable matching")
+
+    assert list(inspect.signature(exposed_rotations).parameters) == ["inst", "mu"]
+    monkeypatch.setattr(oracles, "_exposed", refuse)
     bad = Matching([(0, 1), (1, 3), (2, 2), (3, 0)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^matching is not stable$"):
         exposed_rotations(example_instance, bad)
 
 
