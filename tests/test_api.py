@@ -100,13 +100,11 @@ def _defines(tree) -> set[str]:
 
 def _imports_oracles(tree) -> bool:
     for n in ast.walk(tree):
-        if isinstance(n, ast.ImportFrom):
-            if (n.module or "").split(".")[-1] == "oracles":
-                return True
-            if any(a.name == "oracles" for a in n.names):
-                return True
-        elif isinstance(n, ast.Import) and any(a.name.endswith("oracles") for a in n.names):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").endswith("oracles"):
             return True
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            if any(a.name.endswith("oracles") for a in n.names):
+                return True
     return False
 
 
